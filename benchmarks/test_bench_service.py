@@ -21,22 +21,14 @@ direct counterpart.  Recording/guarding follows the trajectory pattern
 """
 
 import asyncio
-import os
 import time
-
-import pytest
 
 from bench_workloads import hexify
 
-from repro import bench
 from repro.api import StudySpec, evaluate
 from repro.service import EvaluationService, ServiceClient
 
-#: Allowed throughput drop vs. the latest same-machine trajectory entry.
-GUARD_TOLERANCE = 0.25
-
-RECORDING = bool(os.environ.get("REPRO_BENCH_RECORD"))
-GUARDING = bool(os.environ.get("REPRO_BENCH_GUARD"))
+from test_bench_trajectory import check_guard
 
 #: Tenants submitting concurrently and unique cells per tenant's sweep.
 TENANTS = 3
@@ -52,27 +44,6 @@ SERVICE_SPEC = {
 
 #: Timed repetitions; the recorded wall is the best of these.
 BENCH_REPEATS = 3
-
-
-def check_guard(op, wall, n, extra=None):
-    baseline = bench.latest("service", op, same_machine=True)
-    if RECORDING:
-        bench.record("service", op, n, wall, unit="submissions",
-                     note="nightly trajectory run", extra=extra)
-    if not GUARDING:
-        return
-    if baseline is None:
-        pytest.skip(f"no service/{op} trajectory entry for this machine yet; "
-                    "this run seeds it" if RECORDING else
-                    f"no same-machine baseline for service/{op} and "
-                    "REPRO_BENCH_RECORD is off")
-    throughput = n / wall
-    floor = baseline["throughput"] * (1.0 - GUARD_TOLERANCE)
-    assert throughput >= floor, (
-        f"service/{op} throughput regressed: {throughput:.1f}/s vs the "
-        f"recorded {baseline['throughput']:.1f}/s "
-        f"(tolerance {GUARD_TOLERANCE:.0%}, recorded "
-        f"{baseline['timestamp']} at version {baseline['code_version']})")
 
 
 def run_direct():
@@ -125,8 +96,10 @@ class TestServiceTrajectory:
             "service-served evaluations drifted from direct evaluation — "
             "the dedup/batching path broke bit-identity")
         n = TENANTS * SWEEP_CELLS
-        check_guard("direct_sequential_3tenants_20cells", direct_wall, n)
-        check_guard("service_burst_3tenants_20cells", service_wall, n,
+        check_guard("service", "direct_sequential_3tenants_20cells",
+                    direct_wall, n, unit="submissions")
+        check_guard("service", "service_burst_3tenants_20cells",
+                    service_wall, n, unit="submissions",
                     extra={
                         "dedup_hit_rate": round(stats["dedup_hit_rate"], 4),
                         "mean_batch_occupancy":

@@ -83,13 +83,19 @@ def run_sweep(spec_dict, method, prepare=None):
     return metrics, wall
 
 
-def check_guard(area, op, wall, n):
-    """Record and/or guard this measurement, per the environment toggles."""
+def check_guard(area, op, wall, n, *, unit=None, extra=None):
+    """Record and/or guard this measurement, per the environment toggles.
+
+    The one guard of the trajectory benches (the service and warehouse
+    benches import it).  *unit* defaults to replications for the strategy
+    area and cells elsewhere; *extra* is stored with a recorded entry.
+    """
     baseline = bench.latest(area, op, same_machine=True)
     if RECORDING:
         bench.record(area, op, n, wall,
-                     unit="replications" if area == "strategy" else "cells",
-                     note="nightly trajectory run")
+                     unit=unit or ("replications" if area == "strategy"
+                                   else "cells"),
+                     note="nightly trajectory run", extra=extra)
     if not GUARDING:
         return
     if baseline is None:

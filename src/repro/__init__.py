@@ -50,71 +50,36 @@ Or, through the facade:
 2.5
 """
 
-from repro._version import __version__
-from repro.api import Evaluation, StudyResult, StudySpec, SystemSpec, evaluate
-from repro.core import (
-    CheckpointKind,
-    EventKind,
-    HistoryDiagram,
-    Interaction,
-    RecoveryLine,
-    RecoveryPoint,
-    SystemParameters,
-    extract_intervals,
-    find_recovery_lines,
-    propagate_rollback,
-)
-from repro.markov import (
-    ModelSimulator,
-    PhaseType,
-    RecoveryLineIntervalModel,
-    SimplifiedChain,
-)
-from repro.report import ResultStore, ShardedResultStore, generate_report
-from repro.runner import (
-    ExperimentRunner,
-    ProcessPoolBackend,
-    RunRecord,
-    ScenarioSpec,
-    SerialBackend,
-    list_scenarios,
-    run_scenario,
-    scenario,
-)
-from repro.service import EvaluationService, ServiceClient
+import time as _time
 
-__all__ = [
-    "__version__",
-    "CheckpointKind",
-    "Evaluation",
-    "StudyResult",
-    "StudySpec",
-    "SystemSpec",
-    "evaluate",
-    "EventKind",
-    "HistoryDiagram",
-    "Interaction",
-    "RecoveryLine",
-    "RecoveryPoint",
-    "SystemParameters",
-    "extract_intervals",
-    "find_recovery_lines",
-    "propagate_rollback",
-    "ModelSimulator",
-    "PhaseType",
-    "RecoveryLineIntervalModel",
-    "SimplifiedChain",
-    "EvaluationService",
-    "ExperimentRunner",
-    "ProcessPoolBackend",
-    "ResultStore",
-    "ServiceClient",
-    "ShardedResultStore",
-    "RunRecord",
-    "ScenarioSpec",
-    "SerialBackend",
-    "generate_report",
-    "list_scenarios",
-    "run_scenario",
-    "scenario",
-]
+#: When this package began importing; ``python -m repro eval --timing``
+#: reports the time from here to ``main()`` as its ``import`` row.
+_IMPORT_STARTED = _time.perf_counter()
+
+from repro._lazy import lazy_exports  # noqa: E402
+from repro._version import __version__  # noqa: E402
+
+#: Public name -> the subpackage that defines it.  Names resolve on first use,
+#: so ``import repro`` loads no numeric stack.
+_EXPORTS = {
+    **dict.fromkeys(("Evaluation", "StudyResult", "StudySpec", "SystemSpec",
+                     "evaluate"), "repro.api"),
+    **dict.fromkeys(("CheckpointKind", "EventKind", "HistoryDiagram",
+                     "Interaction", "RecoveryLine", "RecoveryPoint",
+                     "SystemParameters", "extract_intervals",
+                     "find_recovery_lines", "propagate_rollback"),
+                    "repro.core"),
+    **dict.fromkeys(("ModelSimulator", "PhaseType",
+                     "RecoveryLineIntervalModel", "SimplifiedChain"),
+                    "repro.markov"),
+    **dict.fromkeys(("ResultStore", "ShardedResultStore", "generate_report"),
+                    "repro.report"),
+    **dict.fromkeys(("ExperimentRunner", "ProcessPoolBackend", "RunRecord",
+                     "ScenarioSpec", "SerialBackend", "list_scenarios",
+                     "run_scenario", "scenario"), "repro.runner"),
+    **dict.fromkeys(("EvaluationService", "ServiceClient"), "repro.service"),
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -30,16 +30,15 @@ import inspect
 import json
 import os
 import sys
+import time
 from typing import Dict, List, Optional, Sequence
 
+import repro
 from repro._version import __version__
-from repro.runner import (
-    ExperimentRunner,
-    get_scenario,
-    list_scenarios,
-    load_builtin_scenarios,
-    make_backend,
-)
+
+#: Seconds from the start of the ``repro`` package import to ``main()``; set
+#: only when this module runs as the program (``python -m repro``).
+_STARTUP_SECONDS = 0.0
 
 #: Default root seed for CLI runs, so invocations are reproducible unless the
 #: user asks for fresh entropy with ``--seed -1``.
@@ -177,8 +176,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="overwrite an existing --output file")
     eval_cmd.add_argument("--timing", action="store_true",
                           help="print a per-phase wall-time breakdown "
-                               "(spec resolve / assembly / solve or sim / "
-                               "reduce / store) after the result")
+                               "(import / spec resolve / assembly / solve "
+                               "or sim / reduce / store) after the result")
 
     serve_cmd = sub.add_parser(
         "serve", help="run the multi-tenant evaluation service "
@@ -246,12 +245,40 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="significant digits in report tables "
                                  "(default 6)")
 
-    from repro.warehouse.cli import add_query_parser
-    add_query_parser(sub)
+    query_cmd = sub.add_parser(
+        "query", help="analytics warehouse over the result store "
+                      "(ETL + canned KPI views + read-only SQL)")
+    qsub = query_cmd.add_subparsers(dest="query_command", required=True)
+    load_cmd = qsub.add_parser(
+        "load", help="load (incrementally) a result store into the "
+                     "warehouse database")
+    load_cmd.add_argument("--store", metavar="DIR", default=".repro-store",
+                          help="result-store directory, flat or sharded "
+                               "(default: .repro-store)")
+    kpi_cmd = qsub.add_parser(
+        "kpi", help="render a canned KPI view (no name: list the catalog)")
+    kpi_cmd.add_argument("view", nargs="?", default=None,
+                         help="view name (omit it to list the catalog)")
+    kpi_cmd.add_argument("--limit", type=int, default=0,
+                         help="cap the row count (0 = all rows)")
+    sql_cmd = qsub.add_parser(
+        "sql", help="run one read-only SQL statement against the warehouse")
+    sql_cmd.add_argument("statement", help="SQL to execute (the connection "
+                                           "is read-only; writes fail)")
+    for verb in (load_cmd, kpi_cmd, sql_cmd):
+        verb.add_argument("--db", metavar="FILE", default="warehouse.sqlite",
+                          help="warehouse SQLite file, created by load if "
+                               "missing (default: warehouse.sqlite)")
+    for verb in (kpi_cmd, sql_cmd):
+        verb.add_argument("--format", choices=("table", "json", "csv"),
+                          default="table",
+                          help="output format (default: table)")
     return parser
 
 
 def _cmd_list(verbose: bool) -> int:
+    from repro.runner import list_scenarios, load_builtin_scenarios
+
     load_builtin_scenarios()
     specs = list_scenarios()
     if not specs:
@@ -294,6 +321,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise SystemExit("--reps must be >= 1")
     seed: Optional[int] = None if args.seed == -1 else args.seed
     _check_output_path(args.output, args.force)
+    from repro.runner import (ExperimentRunner, get_scenario,
+                              load_builtin_scenarios, make_backend)
+
     store = None
     if args.store is not None:
         from repro.report import ResultStore
@@ -355,13 +385,14 @@ def _resolve_and_evaluate(args: argparse.Namespace):
     Factored out of :func:`_cmd_eval` so ``--timing`` can run the whole
     pipeline under one phase collector (the engines and the facade carry
     the ``assembly``/``solve``/``sim``/``reduce``/``store`` markers; the
-    spec parse is timed here).
+    pipeline's own imports and the spec parse are timed here).
     """
     from dataclasses import replace
 
-    from repro.api import StudySpec, evaluate_record
     from repro.bench import phase
 
+    with phase("import"):
+        from repro.api import StudySpec, evaluate_record
     with phase("spec-resolve"):
         payload = _load_json_object(args.spec, "spec")
         try:
@@ -403,6 +434,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.timing:
         from repro.bench import collect_phases
         with collect_phases() as timer:
+            timer.add("import", _STARTUP_SECONDS, before=True)
             spec, result = _resolve_and_evaluate(args)
         timing_report = timer.render()
     else:
@@ -495,6 +527,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.all_scenarios and args.scenarios:
         raise SystemExit("--all and explicit scenario names are exclusive")
     from repro.report import generate_report
+    from repro.runner import get_scenario, load_builtin_scenarios
+
     load_builtin_scenarios()
     if args.scenarios:
         # Fail on unknown (or non-renderable internal) names before any
@@ -585,6 +619,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
+    _STARTUP_SECONDS = time.perf_counter() - repro._IMPORT_STARTED
     try:
         sys.exit(main())
     except BrokenPipeError:

@@ -397,7 +397,7 @@ class SystemSpec:
             from repro.workloads.generators import paper_figure6_case
             return paper_figure6_case(args["case"])
         # heterogeneous
-        from repro.experiments.heterogeneous_sweep import heterogeneous_parameters
+        from repro.workloads.generators import heterogeneous_parameters
         return heterogeneous_parameters(args["n"], mu_base=args["mu_base"],
                                         mu_gradient=args["mu_gradient"],
                                         lam_base=args["lam_base"],

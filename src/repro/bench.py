@@ -174,15 +174,22 @@ class PhaseTimer:
         self.counts: Dict[str, int] = {}
         self._started = time.perf_counter()
 
+    def add(self, name: str, seconds: float, *, before: bool = False) -> None:
+        """Charge *seconds* to *name*; ``before=True`` marks time spent
+        before this timer started (process start-up), which the total then
+        includes."""
+        if before:
+            self._started -= seconds
+        self.totals[name] = self.totals.get(name, 0.0) + seconds
+        self.counts[name] = self.counts.get(name, 0) + 1
+
     @contextlib.contextmanager
     def phase(self, name: str):
         start = time.perf_counter()
         try:
             yield
         finally:
-            elapsed = time.perf_counter() - start
-            self.totals[name] = self.totals.get(name, 0.0) + elapsed
-            self.counts[name] = self.counts.get(name, 0) + 1
+            self.add(name, time.perf_counter() - start)
 
     def render(self, digits: int = 3) -> str:
         """The ``--timing`` table: one line per phase, insertion order.

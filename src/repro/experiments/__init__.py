@@ -5,11 +5,14 @@ Each module builds an :class:`~repro.experiments.common.ExperimentResult` whose
 Monte-Carlo values side by side), so that running the benchmark suite doubles as
 regenerating the artefacts.  See DESIGN.md §3 for the experiment index.
 
-Every module registers its entry point with the scenario registry
-(:mod:`repro.runner`): importing this package populates the registry, after
-which ``python -m repro list`` / ``python -m repro run <name>`` (or
+Every scenario module registers its entry point with the scenario registry
+(:mod:`repro.runner`) when it is imported;
+:func:`repro.runner.load_builtin_scenarios` imports them all by name (this
+package lists them in :data:`SCENARIO_MODULES`), after which
+``python -m repro list`` / ``python -m repro run <name>`` (or
 :func:`repro.runner.run_scenario`) run any experiment, serially or across a
-process pool.  The ``run_*`` functions remain as thin compatibility wrappers.
+process pool.  Importing the package itself loads only the result
+containers; the ``run_*`` compatibility wrappers resolve on first access.
 
 Scenarios whose output *is* a paper artifact additionally declare a renderer
 (``@scenario(..., renderer="figure5")``); ``python -m repro report`` routes
@@ -17,35 +20,35 @@ their results through :mod:`repro.report.figures` into figure/table files
 plus a provenance-stamped ``REPORT.md``.
 """
 
+from repro._lazy import lazy_exports
 from repro.experiments.common import ExperimentResult, ExperimentRow
-from repro.experiments.figure5 import run_figure5
-from repro.experiments.figure5_full_chain import run_figure5_full_chain
-from repro.experiments.figure6 import run_figure6
-from repro.experiments.heterogeneous_sweep import (heterogeneous_parameters,
-                                                   run_heterogeneous_sweep)
-from repro.experiments.table1 import run_table1
-from repro.experiments.sync_loss import run_sync_loss, run_sync_loss_validation
-from repro.experiments.prp_costs import run_prp_costs
-from repro.experiments.validation import run_validation
-from repro.experiments.ablation import run_detector_ablation, run_solver_ablation
-from repro.experiments.strategy_comparison import run_strategy_comparison
-from repro.experiments.cascading_faults import run_cascading_faults
 
-__all__ = [
-    "ExperimentResult",
-    "ExperimentRow",
-    "heterogeneous_parameters",
-    "run_figure5",
-    "run_figure5_full_chain",
-    "run_figure6",
-    "run_heterogeneous_sweep",
-    "run_table1",
-    "run_sync_loss",
-    "run_sync_loss_validation",
-    "run_prp_costs",
-    "run_validation",
-    "run_detector_ablation",
-    "run_solver_ablation",
-    "run_strategy_comparison",
-    "run_cascading_faults",
-]
+#: The modules whose import registers the built-in scenarios.
+SCENARIO_MODULES = ("ablation", "cascading_faults", "figure5",
+                    "figure5_full_chain", "figure6", "heterogeneous_sweep",
+                    "prp_costs", "strategy_comparison", "sync_loss", "table1",
+                    "validation")
+
+#: Compatibility wrapper -> the scenario module that defines it.
+_WRAPPERS = {
+    "heterogeneous_parameters": "heterogeneous_sweep",
+    "run_figure5": "figure5",
+    "run_figure5_full_chain": "figure5_full_chain",
+    "run_figure6": "figure6",
+    "run_heterogeneous_sweep": "heterogeneous_sweep",
+    "run_table1": "table1",
+    "run_sync_loss": "sync_loss",
+    "run_sync_loss_validation": "sync_loss",
+    "run_prp_costs": "prp_costs",
+    "run_validation": "validation",
+    "run_detector_ablation": "ablation",
+    "run_solver_ablation": "ablation",
+    "run_strategy_comparison": "strategy_comparison",
+    "run_cascading_faults": "cascading_faults",
+}
+
+__all__ = ["ExperimentResult", "ExperimentRow", *_WRAPPERS]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__, {name: f"{__name__}.{module}"
+               for name, module in _WRAPPERS.items()})

@@ -25,38 +25,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.parameters import SystemParameters
 from repro.experiments.common import ExperimentResult
 from repro.runner import ExecutionContext, run_scenario, scenario
+from repro.workloads.generators import heterogeneous_parameters
 
 __all__ = ["heterogeneous_parameters", "run_heterogeneous_sweep"]
-
-
-def heterogeneous_parameters(n: int, *, mu_base: float = 1.0,
-                             mu_gradient: float = 1.0,
-                             lam_base: float = 0.5,
-                             locality: float = 1.0) -> SystemParameters:
-    """Build the sweep's non-exchangeable parameter family.
-
-    ``μ_i`` ramps geometrically from ``mu_base`` (process 0) to
-    ``mu_base · mu_gradient`` (process n−1); ``λ_ij = lam_base / (1 +
-    locality·|i−j|)`` decays with process distance (a line-topology locality
-    model).  ``mu_gradient = 1`` and ``locality = 0`` recover the symmetric
-    system, which is the cross-check used in tests.
-    """
-    if n < 1:
-        raise ValueError("need at least one process")
-    if mu_gradient <= 0.0:
-        raise ValueError("mu_gradient must be strictly positive")
-    if locality < 0.0:
-        raise ValueError("locality must be non-negative")
-    exponents = np.arange(n) / max(n - 1, 1)
-    mu = mu_base * np.power(mu_gradient, exponents)
-    idx = np.arange(n)
-    distance = np.abs(idx[:, None] - idx[None, :])
-    lam = lam_base / (1.0 + locality * distance)
-    np.fill_diagonal(lam, 0.0)
-    return SystemParameters(mu=mu, lam=lam)
 
 
 @scenario("heterogeneous_sweep",

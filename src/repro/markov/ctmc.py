@@ -31,7 +31,6 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_ivp
 
 from repro.markov.operators import TransientOperator, as_operator
 
@@ -311,6 +310,9 @@ def transient_distribution(H: Union[np.ndarray, sparse.spmatrix],
 
     def rhs(_t: float, pi: np.ndarray) -> np.ndarray:
         return Ht @ pi
+
+    # Imported here: scipy.integrate costs more than the rest of the module.
+    from scipy.integrate import solve_ivp
 
     t_span = (0.0, float(times[-1]) if times[-1] > 0 else 1e-12)
     solution = solve_ivp(rhs, t_span, pi0, t_eval=np.maximum(times, 0.0),

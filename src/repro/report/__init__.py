@@ -43,46 +43,24 @@ Quickstart
 'reports/REPORT.md'
 """
 
-from repro.report.figures import (
-    Artifact,
-    figure_backend,
-    register_renderer,
-    render_artifacts,
-    renderer_names,
-)
-from repro.report.markdown import (
-    ReportSection,
-    render_report,
-    report_provenance,
-    result_to_markdown_table,
-)
-from repro.report.pipeline import (
-    ReportSummary,
-    default_scenario_order,
-    generate_report,
-)
-from repro.report.sharded import ShardedResultStore, shard_of_key
-from repro.report.store import (FileLock, ResultStore, StoreRecord,
-                                canonical_params, store_key)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Artifact",
-    "FileLock",
-    "ReportSection",
-    "ReportSummary",
-    "ResultStore",
-    "ShardedResultStore",
-    "StoreRecord",
-    "canonical_params",
-    "default_scenario_order",
-    "figure_backend",
-    "generate_report",
-    "register_renderer",
-    "render_artifacts",
-    "render_report",
-    "renderer_names",
-    "report_provenance",
-    "result_to_markdown_table",
-    "shard_of_key",
-    "store_key",
-]
+#: Public name -> the submodule that defines it, resolved on first use so
+#: that opening a store loads neither the runner nor the numeric stack.
+_EXPORTS = {
+    **dict.fromkeys(("Artifact", "figure_backend", "register_renderer",
+                     "render_artifacts", "renderer_names"),
+                    "repro.report.figures"),
+    **dict.fromkeys(("ReportSection", "render_report", "report_provenance",
+                     "result_to_markdown_table"), "repro.report.markdown"),
+    **dict.fromkeys(("ReportSummary", "default_scenario_order",
+                     "generate_report"), "repro.report.pipeline"),
+    **dict.fromkeys(("ShardedResultStore", "shard_of_key"),
+                    "repro.report.sharded"),
+    **dict.fromkeys(("FileLock", "ResultStore", "StoreRecord",
+                     "canonical_params", "store_key"), "repro.report.store"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

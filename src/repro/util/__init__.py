@@ -2,60 +2,9 @@
 
 These helpers are deliberately dependency-light (numpy/scipy only) and are used by
 every other sub-package.  Nothing in :mod:`repro.util` knows about recovery blocks;
-it is pure plumbing.
+it is pure plumbing.  Import from the submodule that defines a helper
+(:mod:`repro.util.validation`, :mod:`~repro.util.integration`,
+:mod:`~repro.util.linalg`, :mod:`~repro.util.stats`, :mod:`~repro.util.tables`):
+the package itself re-exports nothing, so loading one helper never pays for
+another's scipy subpackages.
 """
-
-from repro.util.validation import (
-    check_positive,
-    check_non_negative,
-    check_probability,
-    check_rate_matrix,
-    check_symmetric_rates,
-    require,
-)
-from repro.util.integration import (
-    adaptive_quad,
-    trapezoid_cumulative,
-    tail_integral,
-)
-from repro.util.linalg import (
-    is_generator_matrix,
-    embed_dtmc,
-    solve_linear,
-    expected_visits_absorbing,
-    absorption_probabilities,
-)
-from repro.util.stats import (
-    SummaryStats,
-    OnlineMoments,
-    confidence_interval,
-    empirical_cdf,
-    empirical_pdf,
-    relative_error,
-)
-from repro.util.tables import AsciiTable, format_float
-
-__all__ = [
-    "check_positive",
-    "check_non_negative",
-    "check_probability",
-    "check_rate_matrix",
-    "check_symmetric_rates",
-    "require",
-    "adaptive_quad",
-    "trapezoid_cumulative",
-    "tail_integral",
-    "is_generator_matrix",
-    "embed_dtmc",
-    "solve_linear",
-    "expected_visits_absorbing",
-    "absorption_probabilities",
-    "SummaryStats",
-    "OnlineMoments",
-    "confidence_interval",
-    "empirical_cdf",
-    "empirical_pdf",
-    "relative_error",
-    "AsciiTable",
-    "format_float",
-]

@@ -3,7 +3,9 @@
 The synchronized-loss formula of Section 3 and several moment checks integrate
 functions of the form ``1 - G(t)`` over ``[0, ∞)``; the helpers here wrap
 :func:`scipy.integrate.quad` with sensible defaults and provide cumulative
-trapezoid integration for empirical densities.
+trapezoid integration for empirical densities.  :mod:`scipy.integrate` (which
+loads ``scipy.special`` and ``scipy.optimize``) is imported inside the helpers
+that call it, so importing this module costs numpy alone.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy import integrate
 
 __all__ = ["adaptive_quad", "tail_integral", "trapezoid_cumulative", "simpson"]
 
@@ -32,6 +33,8 @@ def adaptive_quad(func: Callable[[float], float], lower: float, upper: float,
     limit:
         Maximum number of subintervals handed to :func:`scipy.integrate.quad`.
     """
+    from scipy import integrate
+
     value, _err = integrate.quad(func, lower, upper, epsrel=rtol, epsabs=atol,
                                  limit=limit)
     return float(value)
@@ -72,4 +75,6 @@ def simpson(x: np.ndarray, y: np.ndarray) -> float:
         raise ValueError("x and y must have the same shape")
     if x.size < 3:
         return float(np.trapezoid(y, x))
+    from scipy import integrate
+
     return float(integrate.simpson(y, x=x))

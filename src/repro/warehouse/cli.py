@@ -14,7 +14,9 @@ Three verbs over one SQLite warehouse file:
 
 All output formats render the same ``(columns, rows)`` shape; ``json``
 emits a list of row objects, ``csv`` uses the stdlib writer, ``table``
-pads columns to their widest cell.
+pads columns to their widest cell.  The verbs' arguments are declared with
+the rest of the CLI in :mod:`repro.__main__`, so only ``query`` itself
+imports this package.
 """
 
 from __future__ import annotations
@@ -30,13 +32,7 @@ from repro.warehouse.etl import load_store
 from repro.warehouse.schema import connect_readonly
 from repro.warehouse.views import KPI_VIEWS, kpi_rows
 
-__all__ = ["add_query_parser", "cmd_query", "format_rows"]
-
-#: Default warehouse database file (relative to the working directory).
-DEFAULT_DB = "warehouse.sqlite"
-
-#: Default store directory, matching the CLI examples elsewhere.
-DEFAULT_STORE = ".repro-store"
+__all__ = ["cmd_query", "format_rows"]
 
 
 def _render_cell(value) -> str:
@@ -71,47 +67,6 @@ def format_rows(columns: List[str], rows: Sequence[Sequence[object]],
         lines.append("  ".join(cell.ljust(widths[i])
                                for i, cell in enumerate(row)).rstrip())
     return "\n".join(lines)
-
-
-def add_query_parser(sub: "argparse._SubParsersAction") -> None:
-    """Register the ``query`` subcommand on the top-level CLI parser."""
-    query_cmd = sub.add_parser(
-        "query", help="analytics warehouse over the result store "
-                      "(ETL + canned KPI views + read-only SQL)")
-    qsub = query_cmd.add_subparsers(dest="query_command", required=True)
-
-    load_cmd = qsub.add_parser(
-        "load", help="load (incrementally) a result store into the "
-                     "warehouse database")
-    load_cmd.add_argument("--store", metavar="DIR", default=DEFAULT_STORE,
-                          help="result-store directory, flat or sharded "
-                               f"(default: {DEFAULT_STORE})")
-    load_cmd.add_argument("--db", metavar="FILE", default=DEFAULT_DB,
-                          help="warehouse SQLite file, created if missing "
-                               f"(default: {DEFAULT_DB})")
-
-    kpi_cmd = qsub.add_parser(
-        "kpi", help="render a canned KPI view (no name: list the catalog)")
-    kpi_cmd.add_argument("view", nargs="?", default=None,
-                         help="view name, one of: "
-                              + ", ".join(sorted(KPI_VIEWS)))
-    kpi_cmd.add_argument("--db", metavar="FILE", default=DEFAULT_DB,
-                         help=f"warehouse SQLite file (default: {DEFAULT_DB})")
-    kpi_cmd.add_argument("--format", choices=("table", "json", "csv"),
-                         default="table", help="output format "
-                                               "(default: table)")
-    kpi_cmd.add_argument("--limit", type=int, default=0,
-                         help="cap the row count (0 = all rows)")
-
-    sql_cmd = qsub.add_parser(
-        "sql", help="run one read-only SQL statement against the warehouse")
-    sql_cmd.add_argument("statement", help="SQL to execute (the connection "
-                                           "is read-only; writes fail)")
-    sql_cmd.add_argument("--db", metavar="FILE", default=DEFAULT_DB,
-                         help=f"warehouse SQLite file (default: {DEFAULT_DB})")
-    sql_cmd.add_argument("--format", choices=("table", "json", "csv"),
-                         default="table", help="output format "
-                                               "(default: table)")
 
 
 def _cmd_load(args: argparse.Namespace) -> int:

@@ -1,7 +1,8 @@
 """Pre-canned workloads: the paper's parameter cases and richer scenarios.
 
 The first two builders reproduce the exact parameter points of Table 1 and
-Figure 6; the remaining ones are the domain scenarios used by the examples — a
+Figure 6, the third builds the heterogeneous sweep's rate gradients; the
+remaining ones are the domain scenarios used by the examples — a
 homogeneous compute job, a producer/consumer pipeline, and a time-critical control
 loop (the paper's motivation for rejecting long rollbacks in "time-critical tasks
 in which a delay in system response beyond … the system deadline leads to a
@@ -24,6 +25,7 @@ __all__ = [
     "FIGURE6_CASES",
     "paper_table1_case",
     "paper_figure6_case",
+    "heterogeneous_parameters",
     "homogeneous_workload",
     "pipeline_workload",
     "realtime_control_workload",
@@ -62,6 +64,34 @@ def paper_figure6_case(case: int) -> SystemParameters:
         raise ValueError(f"Figure 6 has cases 1..{len(FIGURE6_CASES)}, got {case}")
     mu, lam = FIGURE6_CASES[case - 1]
     return SystemParameters.three_process(mu, lam)
+
+
+def heterogeneous_parameters(n: int, *, mu_base: float = 1.0,
+                             mu_gradient: float = 1.0,
+                             lam_base: float = 0.5,
+                             locality: float = 1.0) -> SystemParameters:
+    """Build the non-exchangeable parameter family of the heterogeneous sweep
+    (the ``heterogeneous`` system kind of a StudySpec).
+
+    ``μ_i`` ramps geometrically from ``mu_base`` (process 0) to
+    ``mu_base · mu_gradient`` (process n−1); ``λ_ij = lam_base / (1 +
+    locality·|i−j|)`` decays with process distance (a line-topology locality
+    model).  ``mu_gradient = 1`` and ``locality = 0`` recover the symmetric
+    system, which is the cross-check used in tests.
+    """
+    if n < 1:
+        raise ValueError("need at least one process")
+    if mu_gradient <= 0.0:
+        raise ValueError("mu_gradient must be strictly positive")
+    if locality < 0.0:
+        raise ValueError("locality must be non-negative")
+    exponents = np.arange(n) / max(n - 1, 1)
+    mu = mu_base * np.power(mu_gradient, exponents)
+    idx = np.arange(n)
+    distance = np.abs(idx[:, None] - idx[None, :])
+    lam = lam_base / (1.0 + locality * distance)
+    np.fill_diagonal(lam, 0.0)
+    return SystemParameters(mu=mu, lam=lam)
 
 
 def homogeneous_workload(n: int = 3, *, mu: float = 1.0, lam: float = 1.0,
