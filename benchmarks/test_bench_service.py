@@ -8,12 +8,18 @@ the same C-cell sweep concurrently (T·C submissions, C unique cells).
     cell at a time — no sharing, T·C engine executions.
 ``service_burst``  (the *after*)
     The same submissions through one :class:`EvaluationService` — the
-    single-flight registry collapses the duplicates, the admission window
+    single-flight registry collapses the duplicates, group-commit admission
     coalesces the unique cells into one backend fan-out, and the recorded
     ``extra`` carries the dedup hit rate and mean batch occupancy.
 
 Both measure submissions/second over the identical submission stream, so
-the two BENCH entries are directly comparable.  Bit-identity runs on every
+the two BENCH entries are directly comparable.
+
+``service_lone_miss``
+    Sequential single-cell cache misses on a process-backend service, as a
+    lone fresh cell arrives at a quiet server: each waits for nothing but
+    its own admission and execution, so this op tracks the fixed latency
+    the service adds to a miss.  Bit-identity runs on every
 invocation: each service-served evaluation must be hex-identical to its
 direct counterpart.  Recording/guarding follows the trajectory pattern
 (``REPRO_BENCH_RECORD`` / ``REPRO_BENCH_GUARD``, see
@@ -26,6 +32,7 @@ import time
 from bench_workloads import hexify
 
 from repro.api import StudySpec, evaluate
+from repro.runner.backends import make_backend
 from repro.service import EvaluationService, ServiceClient
 
 from test_bench_trajectory import check_guard
@@ -67,8 +74,7 @@ def run_service():
 
     async def burst():
         # A fresh service per repeat: cold LRU, so dedup does the work.
-        service = EvaluationService(batch_window=0.02,
-                                    max_batch=TENANTS * SWEEP_CELLS + 1)
+        service = EvaluationService(max_batch=TENANTS * SWEEP_CELLS + 1)
         clients = [ServiceClient(service, tenant=f"tenant-{i}")
                    for i in range(TENANTS)]
         start = time.perf_counter()
@@ -86,6 +92,33 @@ def run_service():
             metrics = [cell.evaluation.metrics
                        for outcome in outcomes for cell in outcome.cells]
     return metrics, best_wall, stats
+
+
+#: Sequential single-cell misses timed per repetition.
+LONE_MISSES = 20
+
+
+def run_lone_misses():
+    """Sequential single-cell misses through a process-backend service."""
+    cells = list(StudySpec.from_dict(SERVICE_SPEC).cells())[:LONE_MISSES]
+
+    async def misses():
+        # A fresh service per repeat: every submission is a miss.
+        with make_backend("process", workers=2) as backend:
+            service = EvaluationService(backend=backend)
+            start = time.perf_counter()
+            outcomes = [await service.submit_cell(cell, "analytic")
+                        for cell in cells]
+            return outcomes, time.perf_counter() - start
+
+    metrics, best_wall = None, float("inf")
+    for _ in range(BENCH_REPEATS):
+        outcomes, wall = asyncio.run(misses())
+        assert {outcome.source for outcome in outcomes} == {"computed"}
+        best_wall = min(best_wall, wall)
+        if metrics is None:
+            metrics = [outcome.evaluation.metrics for outcome in outcomes]
+    return metrics, best_wall
 
 
 class TestServiceTrajectory:
@@ -119,3 +152,13 @@ class TestServiceTrajectory:
         assert stats["cells_submitted"] == TENANTS * SWEEP_CELLS
         expected = (TENANTS - 1) * SWEEP_CELLS / (TENANTS * SWEEP_CELLS)
         assert stats["dedup_hit_rate"] >= expected
+
+    def test_lone_miss_latency(self):
+        metrics, wall = run_lone_misses()
+        cells = list(StudySpec.from_dict(SERVICE_SPEC).cells())[:LONE_MISSES]
+        direct = [evaluate(cell, "analytic").metrics for cell in cells]
+        assert hexify(metrics) == hexify(direct)
+        check_guard("service", "service_lone_miss", wall, LONE_MISSES,
+                    unit="misses")
+        print(f"\n[service] lone miss: {1e3 * wall / LONE_MISSES:.2f} ms "
+              "per cell")

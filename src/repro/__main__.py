@@ -204,10 +204,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--lru-size", type=int, default=1024,
                            help="hot-cell LRU capacity (default 1024; "
                                 "0 disables the in-memory cache)")
-    serve_cmd.add_argument("--batch-window", type=float, default=0.01,
-                           help="seconds to hold admissions so concurrent "
-                                "submissions coalesce into one backend "
-                                "fan-out (default 0.01)")
     serve_cmd.add_argument("--max-batch", type=int, default=256,
                            help="flush a batch immediately at this many "
                                 "pending cells (default 256)")
@@ -360,6 +356,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             raise SystemExit(
                 f"scenario {spec.name!r} rejected its parameters: {exc}")
         raise
+    finally:
+        backend.close()
     result = record.result
     print(result.render(args.digits))
     source = "store cache" if record.cached else f"{record.elapsed_seconds:.2f}s"
@@ -393,6 +391,7 @@ def _resolve_and_evaluate(args: argparse.Namespace):
 
     with phase("import"):
         from repro.api import StudySpec, evaluate_record
+        from repro.runner.backends import make_backend
     with phase("spec-resolve"):
         payload = _load_json_object(args.spec, "spec")
         try:
@@ -413,12 +412,14 @@ def _resolve_and_evaluate(args: argparse.Namespace):
     if args.store is not None:
         from repro.report import ResultStore
         store = ResultStore(args.store)
+    backend = make_backend(args.backend, args.workers)
     try:
-        result = evaluate_record(spec, method=args.method,
-                                 backend=args.backend, workers=args.workers,
+        result = evaluate_record(spec, method=args.method, backend=backend,
                                  store=store, force=args.recompute)
     except (ArithmeticError, KeyError, ValueError) as exc:
         raise SystemExit(f"evaluation failed: {exc}")
+    finally:
+        backend.close()
     return spec, result
 
 
@@ -482,8 +483,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit("--workers requires --backend process")
     if args.lru_size < 0:
         raise SystemExit("--lru-size must be >= 0")
-    if args.batch_window < 0:
-        raise SystemExit("--batch-window must be >= 0")
     if args.max_batch < 1:
         raise SystemExit("--max-batch must be >= 1")
     if args.shards is not None and args.shards < 1:
@@ -498,7 +497,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         service = EvaluationService(
             backend=args.backend, workers=args.workers, store=args.store,
             shards=args.shards, lru_size=args.lru_size,
-            batch_window=args.batch_window, max_batch=args.max_batch)
+            max_batch=args.max_batch)
         server = EvaluationServer(service, host=args.host, port=args.port)
         await server.start()
         store_note = f" store={args.store}" if args.store else ""
@@ -527,7 +526,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.all_scenarios and args.scenarios:
         raise SystemExit("--all and explicit scenario names are exclusive")
     from repro.report import generate_report
-    from repro.runner import get_scenario, load_builtin_scenarios
+    from repro.runner import get_scenario, load_builtin_scenarios, make_backend
 
     load_builtin_scenarios()
     if args.scenarios:
@@ -544,17 +543,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
                     "no report rendering; evaluate it with `python -m repro "
                     "eval SPEC.json`")
     seed: Optional[int] = None if args.seed == -1 else args.seed
-    summary = generate_report(
-        None if args.all_scenarios else args.scenarios,
-        out_dir=args.out,
-        store=args.store,
-        backend=args.backend,
-        workers=args.workers,
-        seed=seed,
-        reps=args.reps,
-        force=args.force,
-        digits=args.digits,
-    )
+    with make_backend(args.backend, args.workers) as backend:
+        summary = generate_report(
+            None if args.all_scenarios else args.scenarios,
+            out_dir=args.out,
+            store=args.store,
+            backend=backend,
+            seed=seed,
+            reps=args.reps,
+            force=args.force,
+            digits=args.digits,
+        )
     print(f"report written to {summary.report_path}")
     print(f"[{summary.computed} scenario(s) computed, {summary.cache_hits} "
           f"served from the store at {summary.store_root}]")

@@ -14,16 +14,17 @@ and pays a pool dispatch per cell.  The service collapses that:
     :class:`ResultLRU` — hot cells stay resident in front of the store, so
     repeat submissions cost a dict probe instead of a disk read.
 ``batching``
-    :class:`AdmissionBatcher` / :func:`execute_cells` — a burst of distinct
-    cells admitted within one window coalesces into a single backend
-    ``map`` per engine worker, bit-identical to cell-at-a-time evaluation.
+    :class:`AdmissionBatcher` / :func:`execute_cells` — group commit: a
+    burst of distinct cells admitted in one loop turn, or while a batch
+    runs, coalesces into a single backend ``map`` per engine worker,
+    bit-identical to cell-at-a-time evaluation.
 ``session``
     :class:`EvaluationService` (the orchestrating core) and
     :class:`ServiceClient` (the in-process async client API).
 ``server``
     :class:`EvaluationServer` — the HTTP/JSON front end on raw asyncio
-    streams (stdlib only), plus :class:`ServiceHTTPClient` and the
-    :func:`serve` entry point behind ``python -m repro serve``.
+    streams (stdlib only) behind ``python -m repro serve``, plus
+    :class:`ServiceHTTPClient`.
 
 Persistence goes through :class:`~repro.report.sharded.ShardedResultStore`
 (per-shard indexes and locks), so concurrent batch flushes never serialise
@@ -49,8 +50,7 @@ from repro.service.batching import (AdmissionBatcher, BatchCell,
                                     ExecutedCell, execute_cells)
 from repro.service.cache import CachedResult, ResultLRU
 from repro.service.dedup import SingleFlight
-from repro.service.server import (EvaluationServer, ServiceHTTPClient,
-                                  serve)
+from repro.service.server import EvaluationServer, ServiceHTTPClient
 from repro.service.session import (EvaluationService, ServiceClient,
                                    StudyOutcome, SubmitOutcome)
 
@@ -68,5 +68,4 @@ __all__ = [
     "StudyOutcome",
     "SubmitOutcome",
     "execute_cells",
-    "serve",
 ]

@@ -3,12 +3,14 @@
 Pool dispatch has a fixed cost (task pickling, pool scheduling, result
 collection), so a burst of 100 single-cell submissions paying it 100 times
 would throw away exactly the economy a shared service exists to provide.
-The :class:`AdmissionBatcher` holds admitted cells for a short window (the
-first admission arms the timer) and flushes them as *one* batch; the batch
-executor, :func:`execute_cells`, then groups the batch by engine worker
-function and issues **one ``backend.map`` per group** — a burst of analytic
-cells costs one dispatch, a mixed mc/des burst costs one (they share a
-worker), and a strategy burst costs one more.
+The :class:`AdmissionBatcher` group-commits: a cell admitted while no batch
+runs goes out on the next loop turn with whatever else that turn admitted,
+and cells admitted while a batch runs leave together as *one* batch when it
+completes — no timer, so a lone miss never waits.  The batch executor,
+:func:`execute_cells`, then groups the batch by engine worker function and
+issues **one ``backend.map`` per group** — a burst of analytic cells costs
+one dispatch, a mixed mc/des burst costs one (they share a worker), and a
+strategy burst costs one more.
 
 Bit-identity contract
 ---------------------
@@ -178,26 +180,26 @@ def _run_stochastic_group(backend: ExecutionBackend, worker,
 
 
 class AdmissionBatcher:
-    """Hold admitted entries for a window, then flush them as one batch.
+    """Group commit: admitted entries flush as one batch per free flush slot.
 
-    The first admission arms the window timer; reaching ``max_batch``
-    flushes immediately.  ``flush`` is an async callable receiving the
-    drained entry list — the service's flush coroutine, which executes the
-    batch in a worker thread and resolves the entries' futures.  Entries
+    An admission made while no flush runs schedules one for the next loop
+    turn, so everything admitted in the same turn (a sweep's cells, a burst
+    of tenants) shares it.  Admissions made while a flush runs accumulate
+    and go out as one follow-up flush the moment it completes.  Reaching
+    ``max_batch`` flushes at once.  ``flush`` is an async callable receiving
+    the drained entry list — the service's flush coroutine, which executes
+    the batch in a worker thread and resolves the entries' futures.  Entries
     are opaque to the batcher (it never looks inside them).
     """
 
     def __init__(self, flush: Callable[[List[object]], "asyncio.Future"],
-                 window: float = 0.01, max_batch: int = 256) -> None:
-        if window < 0:
-            raise ValueError(f"window must be >= 0, got {window}")
+                 max_batch: int = 256) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self._flush = flush
-        self.window = float(window)
         self.max_batch = int(max_batch)
         self._pending: List[object] = []
-        self._timer: Optional[asyncio.TimerHandle] = None
+        self._running: "set[asyncio.Task]" = set()
         self.batches = 0
         self.admitted = 0
         self.occupancy_total = 0
@@ -206,29 +208,29 @@ class AdmissionBatcher:
         return len(self._pending)
 
     def admit(self, entry: object) -> None:
-        """Queue *entry*; arm the window timer on a first admission."""
+        """Queue *entry*; with no flush running, flush on the next turn."""
         self._pending.append(entry)
         self.admitted += 1
         if len(self._pending) >= self.max_batch:
             self._fire()
-        elif self._timer is None:
-            loop = asyncio.get_running_loop()
-            self._timer = loop.call_later(self.window, self._fire)
+        elif len(self._pending) == 1 and not self._running:
+            asyncio.get_running_loop().call_soon(self._fire_when_idle)
 
     def _fire(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
         if not self._pending:
             return
         batch, self._pending = self._pending, []
         self.batches += 1
         self.occupancy_total += len(batch)
-        asyncio.ensure_future(self._flush(batch))
+        task = asyncio.ensure_future(self._flush(batch))
+        self._running.add(task)
+        task.add_done_callback(self._fire_when_idle)
 
-    async def drain(self) -> None:
-        """Flush anything pending now (shutdown path)."""
-        self._fire()
+    def _fire_when_idle(self, done: Optional["asyncio.Task"] = None) -> None:
+        """Flush pending entries unless a flush runs (it calls this later)."""
+        self._running.discard(done)
+        if not self._running:
+            self._fire()
 
     def stats(self) -> Dict[str, float]:
         occupancy = (self.occupancy_total / self.batches) if self.batches \

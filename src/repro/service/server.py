@@ -37,7 +37,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.service.session import EvaluationService, SubmitOutcome
 
-__all__ = ["EvaluationServer", "ServiceHTTPClient", "serve"]
+__all__ = ["EvaluationServer", "ServiceHTTPClient"]
 
 #: Refuse request bodies beyond this size (a spec sweep is a few KiB).
 MAX_BODY_BYTES = 4 * 1024 * 1024
@@ -92,11 +92,13 @@ class EvaluationServer:
             self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
+        """Stop listening, let admitted work land, then close the backend."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
         await self.service.drain()
+        self.service.backend.close()
 
     async def serve_forever(self) -> None:
         if self._server is None:
@@ -314,30 +316,3 @@ class ServiceHTTPClient:
             self._writer = None
             self._reader = None
 
-
-async def serve(host: str = "127.0.0.1", port: int = 8642, *,
-                backend=None, workers: Optional[int] = None,
-                store: Optional[str] = None, shards: Optional[int] = None,
-                lru_size: int = 1024, batch_window: float = 0.01,
-                max_batch: int = 256,
-                ready: Optional["asyncio.Event"] = None) -> None:
-    """Run the service until cancelled (the ``python -m repro serve`` body).
-
-    *ready*, when given, is set once the socket is listening — tests and
-    the smoke job use it instead of polling.
-    """
-    service = EvaluationService(backend=backend, workers=workers,
-                                store=store, shards=shards,
-                                lru_size=lru_size,
-                                batch_window=batch_window,
-                                max_batch=max_batch)
-    server = EvaluationServer(service, host=host, port=port)
-    await server.start()
-    if ready is not None:
-        ready.set()
-    try:
-        await server.serve_forever()
-    except asyncio.CancelledError:
-        pass
-    finally:
-        await server.stop()

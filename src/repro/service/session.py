@@ -9,7 +9,7 @@ the in-process :class:`ServiceClient` API and the HTTP front end
          ├─ LRU probe            (hot cells: a dict lookup)
          ├─ store probe          (warm cells: one shard read, off-loop)
          ├─ single-flight join   (identical cell already computing)
-         └─ admission batch      (leader: queue for the next fan-out)
+         └─ admission batch      (leader: group commit into one fan-out)
                   │
                   └─ flush → execute_cells in a worker thread
                            → store.put per cell → resolve flight futures
@@ -108,10 +108,6 @@ class EvaluationService:
         object exposing ``get``/``put``.
     lru_size:
         Hot-cell cache capacity (0 disables the LRU).
-    batch_window:
-        Seconds the admission batcher waits after a first admission before
-        flushing, so a burst of concurrent submissions coalesces into one
-        backend dispatch.
     max_batch:
         Flush immediately once this many cells are pending.
     shards:
@@ -122,7 +118,6 @@ class EvaluationService:
                  workers: Optional[int] = None,
                  store: Union[None, str, object] = None,
                  lru_size: int = 1024,
-                 batch_window: float = 0.01,
                  max_batch: int = 256,
                  shards: Optional[int] = None) -> None:
         self.backend = make_backend(backend, workers)
@@ -131,8 +126,7 @@ class EvaluationService:
         self.store = store
         self.lru = ResultLRU(lru_size)
         self.flights = SingleFlight()
-        self.batcher = AdmissionBatcher(self._flush, window=batch_window,
-                                        max_batch=max_batch)
+        self.batcher = AdmissionBatcher(self._flush, max_batch=max_batch)
         self.submissions = 0
         self.cells_submitted = 0
         self.cells_executed = 0
@@ -264,8 +258,7 @@ class EvaluationService:
 
     # ------------------------------------------------------------- lifecycle
     async def drain(self) -> None:
-        """Flush pending admissions and wait for in-flight work to land."""
-        await self.batcher.drain()
+        """Wait for in-flight work to land (admitted cells always flush)."""
         while len(self.flights):
             await asyncio.gather(*self.flights.pending(),
                                  return_exceptions=True)

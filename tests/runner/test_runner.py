@@ -1,6 +1,10 @@
 """Runner determinism, backends, sharding and the ``python -m repro`` CLI."""
 
 import json
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -92,6 +96,43 @@ class TestBackends:
             make_backend(ProcessPoolBackend(), workers=2)
         with pytest.raises(ValueError):
             ProcessPoolBackend(workers=0)
+
+
+def _slow_pid(_task):
+    time.sleep(0.05)            # long enough for every worker to take a task
+    return os.getpid()
+
+
+def _exit_worker(_task):
+    os._exit(1)
+
+
+def _sigint_ignored(_task):
+    return signal.getsignal(signal.SIGINT) == signal.SIG_IGN
+
+
+class TestPersistentPool:
+    def test_maps_reuse_the_same_workers(self):
+        with ProcessPoolBackend(workers=2) as backend:
+            first = set(backend.map(_slow_pid, range(8)))
+            second = set(backend.map(_slow_pid, range(8)))
+        # A pool per map would show up to four distinct worker PIDs.
+        assert len(first | second) <= 2
+        assert os.getpid() not in first | second
+        # Closed is not dead: the next map builds a fresh pool.
+        assert backend.map(abs, [-3, 1, -2, 0]) == [3, 1, 2, 0]
+        backend.close()
+
+    def test_worker_death_breaks_one_map_only(self):
+        with ProcessPoolBackend(workers=2) as backend:
+            with pytest.raises(BrokenProcessPool):
+                backend.map(_exit_worker, range(4))
+            assert backend.map(abs, [-3, 1, -2, 0]) == [3, 1, 2, 0]
+
+    def test_workers_leave_ctrl_c_to_the_parent(self):
+        with ProcessPoolBackend(workers=2) as backend:
+            assert backend.map(_sigint_ignored, range(4)) == [True] * 4
+        assert not _sigint_ignored(None)
 
 
 class TestDeterminism:

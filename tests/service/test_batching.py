@@ -1,4 +1,4 @@
-"""Admission batching: window coalescing, one map per worker group."""
+"""Admission batching: group commit, one map per worker group."""
 
 import asyncio
 
@@ -33,22 +33,67 @@ def _mc(n, seed=7):
 
 
 class TestAdmissionBatcher:
-    def test_window_coalesces_admissions(self):
+    def test_lone_admission_flushes_next_turn_without_timer(self):
         flushed = []
 
         async def main():
             async def flush(batch):
                 flushed.append(batch)
-            batcher = AdmissionBatcher(flush, window=0.02, max_batch=100)
+            batcher = AdmissionBatcher(flush, max_batch=100)
+            batcher.admit("lone")
+            assert batcher.stats()["batches"] == 0
+            await asyncio.sleep(0)            # next loop turn: batch leaves
+            assert batcher.stats()["batches"] == 1
+            await asyncio.sleep(0)            # its flush task runs
+            assert flushed == [["lone"]]
+        asyncio.run(main())
+
+    def test_same_turn_burst_is_one_flush(self):
+        flushed = []
+
+        async def main():
+            async def flush(batch):
+                flushed.append(batch)
+            batcher = AdmissionBatcher(flush, max_batch=100)
             for i in range(5):
                 batcher.admit(i)
             assert len(batcher) == 5          # nothing flushed yet
-            await asyncio.sleep(0.1)
+            await asyncio.sleep(0)
+            await asyncio.sleep(0)
             assert flushed == [[0, 1, 2, 3, 4]]
             stats = batcher.stats()
             assert stats["batches"] == 1
             assert stats["mean_occupancy"] == 5.0
         asyncio.run(main())
+
+    def test_admissions_during_a_flush_form_one_follow_up(self):
+        events = []
+
+        async def main():
+            release = asyncio.Event()
+
+            async def flush(batch):
+                events.append(("start", batch))
+                if batch == [0]:
+                    await release.wait()
+                events.append(("end", batch))
+            batcher = AdmissionBatcher(flush, max_batch=100)
+            batcher.admit(0)
+            await asyncio.sleep(0)
+            await asyncio.sleep(0)            # the first flush is running
+            for i in (1, 2, 3):               # admitted on separate turns
+                batcher.admit(i)
+                await asyncio.sleep(0)
+            await asyncio.sleep(0.05)
+            assert events == [("start", [0])]
+            assert len(batcher) == 3
+            release.set()
+            for _ in range(5):
+                await asyncio.sleep(0)
+            assert batcher.stats()["batches"] == 2
+        asyncio.run(main())
+        assert events == [("start", [0]), ("end", [0]),
+                          ("start", [1, 2, 3]), ("end", [1, 2, 3])]
 
     def test_max_batch_flushes_immediately(self):
         flushed = []
@@ -56,20 +101,19 @@ class TestAdmissionBatcher:
         async def main():
             async def flush(batch):
                 flushed.append(list(batch))
-            batcher = AdmissionBatcher(flush, window=10.0, max_batch=3)
+            batcher = AdmissionBatcher(flush, max_batch=3)
             for i in range(7):
                 batcher.admit(i)
-            await asyncio.sleep(0)            # let flush tasks run
-            await batcher.drain()
-            await asyncio.sleep(0)
+            assert batcher.stats()["batches"] == 2    # without a loop turn
+            for _ in range(3):                # flushes run, then follow up
+                await asyncio.sleep(0)
+            assert len(batcher) == 0
         asyncio.run(main())
         assert [len(batch) for batch in flushed] == [3, 3, 1]
 
     def test_parameter_validation(self):
         async def noop(batch):
             pass
-        with pytest.raises(ValueError):
-            AdmissionBatcher(noop, window=-1)
         with pytest.raises(ValueError):
             AdmissionBatcher(noop, max_batch=0)
 
@@ -110,7 +154,7 @@ class TestServiceBatching:
         backend = CountingBackend()
 
         async def main():
-            service = EvaluationService(backend=backend, batch_window=0.05)
+            service = EvaluationService(backend=backend)
             specs = [_analytic(n) for n in range(2, 12)]
             return await asyncio.gather(
                 *(service.submit_cell(spec) for spec in specs)), service
@@ -124,7 +168,7 @@ class TestServiceBatching:
         backend = CountingBackend()
 
         async def main():
-            service = EvaluationService(backend=backend, batch_window=0.05)
+            service = EvaluationService(backend=backend)
             sweep = StudySpec(system=SystemSpec.symmetric(5, 1.0, 0.5),
                               metrics=("mean",),
                               sweep={"n": [3, 4, 5, 6]})
@@ -136,7 +180,7 @@ class TestServiceBatching:
 
     def test_engine_error_rejects_only_its_cells(self):
         async def main():
-            service = EvaluationService(batch_window=0.02)
+            service = EvaluationService()
             good = _analytic(4)
             # Strategy metrics on a symmetric system -> engine-side error.
             results = await asyncio.gather(

@@ -2,12 +2,20 @@
 
 import asyncio
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
 
 import pytest
 
 from repro.api import StudySpec, SystemSpec, evaluate
+from repro.runner.backends import ProcessPoolBackend
 from repro.service import (EvaluationServer, EvaluationService,
                            ServiceHTTPClient)
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 
 
 def _spec_dict(n=5, **extra):
@@ -254,7 +262,7 @@ class TestMultiTenant:
                 await client.close()
             return results, stats
 
-        results, stats = _run_with_server(scenario, batch_window=0.05)
+        results, stats = _run_with_server(scenario)
         assert all(status == 200 for status, _payload in results)
         values = {json.dumps(payload["cells"][0]["result"], sort_keys=True)
                   for _status, payload in results}
@@ -277,3 +285,81 @@ class TestMultiTenant:
         statuses, requests = _run_with_server(scenario)
         assert statuses == [200, 200, 200]
         assert requests == 3
+
+
+def _exit_worker(_task):
+    os._exit(1)
+
+
+class _DiesOnceBackend(ProcessPoolBackend):
+    """A process backend whose first map kills the worker running it."""
+
+    def __init__(self):
+        super().__init__(workers=2)
+        self.armed = True
+
+    def map(self, func, tasks):
+        if self.armed:
+            self.armed, func = False, _exit_worker
+        return super().map(func, tasks)
+
+
+class TestPoolRecovery:
+    def test_worker_death_fails_its_batch_and_the_pool_recovers(self):
+        sweep = _spec_dict(sweep={"n": [3, 4]})     # two tasks: one pool map
+
+        async def scenario(server):
+            client = ServiceHTTPClient(port=server.port)
+            broken = await client.evaluate(sweep)
+            healed = await client.evaluate(sweep)
+            await client.close()
+            return broken, healed
+
+        (status, payload), (again, healed) = _run_with_server(
+            scenario, backend=_DiesOnceBackend())
+        assert status == 500
+        assert "BrokenProcessPool" in payload["error"]
+        assert again == 200
+        assert [cell["source"] for cell in healed["cells"]] == ["computed"] * 2
+        direct = evaluate(StudySpec.from_dict(_spec_dict(n=4)))
+        value = healed["cells"][1]["result"]["rows"][0]["values"]["value"]
+        assert value == direct.metrics["mean"]
+
+
+def _default_sigint():
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
+class TestServeProcess:
+    def test_ctrl_c_to_the_process_group_exits_cleanly(self, tmp_path):
+        """SIGINT to the whole group (a terminal Ctrl-C) after one pool batch:
+        the pool's workers ignore it and the server drains and exits 0."""
+        env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
+        err_path = tmp_path / "stderr.txt"
+        with open(err_path, "w") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--port", "0",
+                 "--backend", "process", "--workers", "2"],
+                env=env, stdout=subprocess.PIPE, stderr=err, text=True,
+                start_new_session=True, preexec_fn=_default_sigint)
+        try:
+            line = proc.stdout.readline()
+            port = int(re.search(r"http://[^:]+:(\d+)", line).group(1))
+
+            async def one_batch():
+                client = ServiceHTTPClient(port=port)
+                status, payload = await client.evaluate(
+                    _spec_dict(sweep={"n": [3, 4, 5]}))
+                await client.close()
+                return status, payload
+
+            status, payload = asyncio.run(one_batch())
+            assert status == 200 and len(payload["cells"]) == 3
+            os.killpg(proc.pid, signal.SIGINT)
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+            proc.stdout.close()
+        assert "Traceback" not in err_path.read_text()

@@ -14,7 +14,9 @@ import pytest
 from repro.api import StudySpec, SystemSpec, evaluate
 from repro.api.facade import evaluate_record
 from repro.report import ResultStore
+from repro.runner.backends import ProcessPoolBackend, SerialBackend
 from repro.service import EvaluationService
+from repro.service.batching import BatchCell, execute_cells
 
 
 def hexify(value):
@@ -69,6 +71,27 @@ class TestBitIdentity:
         for spec, method in ((ANALYTIC, "analytic"), (MC, "mc")):
             outcome = _submit(service, spec, method)
             assert outcome.key == spec.canonical_key(method)
+
+
+class TestPersistentPoolIdentity:
+    def test_process_batches_hex_identical_to_serial(self):
+        """An analytic+mc batch, run twice on one pool (the second on warm
+        workers), matches the serial backend to the last bit."""
+        mc_sharded = StudySpec(system=SystemSpec.symmetric(5, 1.0, 0.5),
+                               metrics=("mean", "std"), seed=20240,
+                               reps=4500)         # three shards: a real map
+        cells = [BatchCell(ANALYTIC, "analytic"),
+                 BatchCell(StudySpec(system=SystemSpec.symmetric(6, 1.0, 0.5),
+                                     metrics=("mean",)), "analytic"),
+                 BatchCell(mc_sharded, "mc")]
+        serial, _ = execute_cells(SerialBackend(), cells)
+        expected = [hexify(out.result.to_dict()) for out in serial]
+        with ProcessPoolBackend(workers=2) as backend:
+            for _ in range(2):
+                outcomes, dispatches = execute_cells(backend, cells)
+                assert dispatches == 2
+                assert [hexify(out.result.to_dict())
+                        for out in outcomes] == expected
 
 
 class TestStoreInterop:

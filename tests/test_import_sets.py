@@ -119,7 +119,8 @@ class TestServiceWarm:
     def test_pool_workers_import_nothing_new(self):
         """Importing the service loads the analytic and mc engines, and a
         process-pool batch makes its workers import no module the parent
-        lacks (otherwise every flush's fresh pool would pay for it)."""
+        lacks (otherwise the service's first batches would pay for it in
+        every worker, and again whenever a broken pool is rebuilt)."""
         out = run_python("""
             import json, sys
             import repro.service
