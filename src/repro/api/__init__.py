@@ -23,8 +23,9 @@ driving the :mod:`repro.recovery` runtimes — with the synchronized scheme's
 closed forms served by ``analytic`` for cross-checking.
 
 ``method="auto"`` (the default) selects an engine from the system kind, the
-state-space size and the requested metrics; sweep axes fan out through the
-experiment runner with parallelism, store caching and resume for free; and
+state-space size and the requested metrics; sweep axes fan out through one
+cell executor (:mod:`repro.api.execute`) with parallelism, store caching and
+resume; and
 :meth:`StudySpec.canonical_key` *is* the result-store cell key, so specs can
 predict their own cache address.  The CLI face is
 ``python -m repro eval spec.json``.

@@ -2,18 +2,19 @@
 
 The facade composes the pieces the rest of the package already provides —
 the declarative :class:`~repro.api.spec.StudySpec`, the engine registry of
-:mod:`repro.api.evaluators`, and the
-:class:`~repro.runner.runner.ExperimentRunner` — into a single entry point:
+:mod:`repro.api.evaluators` and the cell executor of
+:mod:`repro.api.execute` — into a single entry point:
 
 * ``method="auto"`` resolves to an engine by state-space size and requested
   metrics (:func:`~repro.api.evaluators.resolve_method`);
-* every cell runs as the internal registered ``evaluate`` scenario, so an
-  attached :class:`~repro.report.store.ResultStore` gives caching and resume
-  for free, and the cell's store key is exactly
-  :meth:`StudySpec.canonical_key`;
-* sweep axes expand into grid cells; each cell's stochastic shards fan out
-  through the execution backend, so ``backend="process"`` parallelises a
-  sweep end to end with bit-identical results.
+* sweep axes expand into grid cells; an attached
+  :class:`~repro.report.store.ResultStore` serves cells already evaluated
+  under the same :meth:`StudySpec.canonical_key`, so interrupted sweeps
+  resume;
+* the misses run through the executor — deterministic misses in one
+  backend ``map``, each stochastic miss with its shards fanned through the
+  backend — so ``backend="process"`` parallelises a sweep end to end with
+  bit-identical results.
 
 Scenario code that already *has* an :class:`ExecutionContext` (it is being
 run by the runner) uses :func:`evaluate_in_context` instead, which flattens
@@ -24,16 +25,18 @@ bit-identical across the migration.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace as _dc_replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Union
 
 from repro.api.evaluation import Evaluation
 from repro.api.evaluators import get_evaluator, resolve_method
-from repro.bench import phase as _phase
+from repro.api.execute import (BatchCell, cell_key, execute_and_store,
+                               map_cells)
 from repro.api.spec import EVALUATE_SCENARIO_NAME, StudySpec
+from repro.bench import phase as _phase
 from repro.experiments.common import ExperimentResult
-from repro.runner import ExecutionContext, ExperimentRunner, scenario
+from repro.runner import ExecutionContext, scenario
+from repro.runner.backends import ExecutionBackend, make_backend
 
 __all__ = ["CellResult", "StudyResult", "evaluate", "evaluate_in_context",
            "evaluate_record"]
@@ -48,13 +51,12 @@ __all__ = ["CellResult", "StudyResult", "evaluate", "evaluate_in_context",
 def evaluate_scenario(ctx: ExecutionContext, *,
                       spec: Optional[Dict[str, object]] = None,
                       method: str = "analytic") -> ExperimentResult:
-    """The facade's internal scenario: one study cell, one engine.
+    """One study cell through one engine, run by the ``ExperimentRunner``.
 
-    ``spec`` is a :meth:`StudySpec.to_dict` payload; ``method`` must already
-    be resolved (the facade never hands ``"auto"`` down).  Registered like
-    any other scenario so the runner's store hook addresses facade cells
-    exactly like hand-written experiments, but marked *internal* so generic
-    enumeration (``list``, ``report --all``) never runs it parameterless.
+    ``spec`` is a :meth:`StudySpec.cell_params` payload and ``method`` a
+    resolved engine name, so the runner keys the cell exactly as the
+    facade's executor does.  Marked *internal* so generic enumeration
+    (``list``, ``report --all``) never runs it parameterless.
     """
     if spec is None:
         raise ValueError(
@@ -64,9 +66,8 @@ def evaluate_scenario(ctx: ExecutionContext, *,
     carried = sorted({"seed", "reps", "sweep"} & set(spec))
     if carried:
         # The runner's seed/reps slots are authoritative here (that is how
-        # the cell is keyed), and a sweep would be silently collapsed to
-        # its base cell — the facade expands sweeps *before* dispatching
-        # cells to this scenario.
+        # the cell is keyed), and a sweep would silently collapse to its
+        # base cell.
         raise ValueError(
             f"the 'evaluate' scenario payload must not embed {carried}; "
             "seed/reps are runner-level, and sweeps are expanded by "
@@ -188,143 +189,77 @@ def evaluate_record(spec: Union[StudySpec, Mapping[str, object]],
     """Like :func:`evaluate`, but always return the full :class:`StudyResult`
     — one :class:`CellResult` per cell with cache status and store key.
 
-    Parallelism covers both engine families: stochastic cells fan their
-    fixed-size shards through the backend (inside the runner), and
-    deterministic cells that are not served from the store are batched into
-    one backend ``map`` — so an analytic sweep with ``backend="process"``
-    computes its grid cells concurrently.
+    Deterministic misses are deduplicated by key (a reps axis, say, which
+    their results ignore) and go out in one executor call, so an analytic
+    sweep with ``backend="process"`` computes its grid cells concurrently.
+    Each stochastic miss runs, shards fanned through the backend, and is
+    written before the next starts, so an interrupted sweep resumes from
+    its finished cells.  A backend built here from a name is closed here.
     """
     if not isinstance(spec, StudySpec):
         spec = StudySpec.from_dict(spec)
     if isinstance(store, str):
         from repro.report.store import ResultStore
         store = ResultStore(store)
-    import json as _json
+    owned = not isinstance(backend, ExecutionBackend)
+    backend = make_backend(backend, workers)
+    try:
+        return StudyResult(spec=spec, cells=_evaluate_cells(
+            spec, method, backend, store, force))
+    finally:
+        if owned:
+            backend.close()
 
-    runner = ExperimentRunner(backend, workers=workers, store=store)
-    cells: List[Optional[CellResult]] = []
-    # Deterministic cache misses, deduplicated: sweep cells whose identity
-    # coincides (e.g. a reps axis, which deterministic results ignore) are
-    # computed once and fanned back to every requesting cell.
-    pending_payloads: List[_DeterministicCell] = []
-    pending_targets: List[List[tuple]] = []      # [(cell index, cell spec)]
-    pending_by_identity: Dict[object, int] = {}
 
-    def decode(result, cell: StudySpec) -> Evaluation:
-        """Rebuild a stored/runner evaluation, restamping the cell's stated
-        tolerance: rel_tol is a spec-side annotation excluded from the cell
-        identity, so the *requesting* spec's value — not whatever the stored
-        payload happened to carry — is what the caller declared."""
-        return _dc_replace(Evaluation.from_experiment_result(result),
-                           rel_tol=cell.rel_tol)
+def _evaluate_cells(spec: StudySpec, method: str, backend, store,
+                    force: bool) -> List[CellResult]:
+    """Probe, dedup, execute and store the cells of *spec*, in cell order."""
 
-    for index, cell in enumerate(spec.cells()):
-        resolved = resolve_method(cell, method)
-        evaluator = get_evaluator(resolved)
-        if evaluator.stochastic:
-            # The runner owns stochastic cells end to end: shard fan-out,
-            # store caching, and the seed=None fresh-entropy bypass.
-            record = runner.run_record(
-                EVALUATE_SCENARIO_NAME,
-                seed=cell.seed,
-                reps=cell.effective_reps(),
-                force=force,
-                **cell.cell_params(resolved))
-            cells.append(CellResult(
-                spec=cell,
-                evaluation=decode(record.result, cell),
-                method=resolved,
-                cached=record.cached,
-                key=record.key,
-                elapsed_seconds=record.elapsed_seconds))
-            continue
-        # Deterministic cells: results do not depend on the seed, so even
-        # seedless cells cache — keyed under the canonical (seed, reps=None)
-        # identity, which is exactly StudySpec.canonical_key.  Cache misses
-        # are deferred and batched into one backend map below.
-        key = None
-        if store is not None:
-            key = store.key(EVALUATE_SCENARIO_NAME,
-                            cell.cell_params(resolved), cell.seed, None)
+    def run(cells: List[BatchCell]) -> List:
+        return _raise_first(execute_and_store(backend, cells, store)[0])
+
+    def result(cell: BatchCell, key, record, cached: bool) -> CellResult:
+        """rel_tol is a spec-side annotation excluded from the cell identity,
+        so the *requesting* spec's value — not whatever the stored payload
+        carries — is what the caller declared."""
+        evaluation = record.evaluation if not cached \
+            else Evaluation.from_experiment_result(record.result)
+        return CellResult(spec=cell.spec,
+                          evaluation=_dc_replace(evaluation,
+                                                 rel_tol=cell.spec.rel_tol),
+                          method=cell.method, cached=cached,
+                          key=key if store is not None else None,
+                          elapsed_seconds=record.elapsed_seconds)
+
+    cells = [BatchCell(study, resolve_method(study, method))
+             for study in spec.cells()]
+    results: List[Optional[CellResult]] = []
+    deferred: Dict[str, List[int]] = {}     # deterministic misses by key
+    for index, cell in enumerate(cells):
+        # A lone cell without a store needs no key (nothing to dedup).
+        key = cell_key(cell) if store is not None or spec.is_sweep else None
+        hit = None
+        if store is not None and key is not None and not force:
             with _phase("store"):
-                hit = None if force else store.get(key,
-                                                   EVALUATE_SCENARIO_NAME)
-            if hit is not None:
-                cells.append(CellResult(
-                    spec=cell,
-                    evaluation=decode(hit.result, cell),
-                    method=resolved, cached=True, key=key,
-                    elapsed_seconds=hit.elapsed_seconds))
-                continue
-        cells.append(None)
-        identity = (_json.dumps(cell.cell_params(resolved), sort_keys=True),
-                    cell.seed)
-        position = pending_by_identity.get(identity)
-        if position is None:
-            pending_by_identity[identity] = len(pending_payloads)
-            pending_payloads.append(_DeterministicCell(spec=cell,
-                                                       method=resolved))
-            pending_targets.append([(index, cell)])
+                hit = store.get(key, EVALUATE_SCENARIO_NAME)
+        if hit is not None:
+            results.append(result(cell, key, hit, cached=True))
+        elif get_evaluator(cell.method).stochastic:
+            [executed] = run([cell])
+            results.append(result(cell, key, executed, cached=False))
         else:
-            pending_targets[position].append((index, cell))
-
-    if pending_payloads:
-        outputs = runner.backend.map(_evaluate_deterministic_cell_timed,
-                                     pending_payloads)
-        for payload, targets, (evaluation, elapsed) in zip(
-                pending_payloads, pending_targets, outputs):
-            key = None
-            if store is not None:
-                first = payload.spec
-                key = store.key(EVALUATE_SCENARIO_NAME,
-                                first.cell_params(payload.method),
-                                first.seed, None)
-                with _phase("store"):
-                    store.put(EVALUATE_SCENARIO_NAME,
-                              first.cell_params(payload.method), first.seed,
-                              None, backend=runner.backend.describe(),
-                              elapsed_seconds=elapsed,
-                              result=evaluation.to_experiment_result())
-            for index, cell in targets:
-                cells[index] = CellResult(
-                    spec=cell,
-                    evaluation=_dc_replace(evaluation,
-                                           rel_tol=cell.rel_tol),
-                    method=payload.method,
-                    cached=False, key=key, elapsed_seconds=elapsed)
-    return StudyResult(spec=spec, cells=[cell for cell in cells
-                                         if cell is not None])
+            results.append(None)
+            deferred.setdefault(key, []).append(index)
+    if deferred:
+        firsts = [cells[indices[0]] for indices in deferred.values()]
+        for (key, indices), executed in zip(deferred.items(), run(firsts)):
+            for index in indices:
+                results[index] = result(cells[index], key, executed,
+                                        cached=False)
+    return results
 
 
 # ----------------------------------------------------------------- in-context
-@dataclass(frozen=True)
-class _DeterministicCell:
-    """Picklable payload for deterministic engines fanned through a backend.
-
-    Specs and evaluations are plain frozen dataclasses, so they cross the
-    process boundary directly — no dict round trip on the hot path.
-    """
-
-    spec: StudySpec
-    method: str
-
-
-def _evaluate_deterministic_cell(cell: _DeterministicCell) -> Evaluation:
-    """Worker entry point: evaluate one deterministic cell."""
-    return get_evaluator(cell.method).evaluate(cell.spec)
-
-
-def _evaluate_deterministic_cell_timed(cell: _DeterministicCell):
-    """Worker entry point returning ``(Evaluation, elapsed seconds)``.
-
-    Timing happens in the worker so store provenance records the cell's own
-    compute time, not the batch's.
-    """
-    start = time.perf_counter()
-    evaluation = _evaluate_deterministic_cell(cell)
-    return evaluation, time.perf_counter() - start
-
-
 def evaluate_in_context(ctx: ExecutionContext,
                         specs: Iterable[StudySpec],
                         method: str = "analytic") -> List[Evaluation]:
@@ -348,12 +283,19 @@ def evaluate_in_context(ctx: ExecutionContext,
         raise ValueError(f"evaluate_in_context needs one engine per call, "
                          f"got {sorted(names)}")
     resolved = names.pop()
+    cells = [BatchCell(s, resolved) for s in specs]
     evaluator = get_evaluator(resolved)
-    if not evaluator.stochastic:
-        payloads = [_DeterministicCell(spec=s, method=resolved)
-                    for s in specs]
-        return ctx.map(_evaluate_deterministic_cell, payloads)
-    tasks, bounds = evaluator.cell_tasks(specs, ctx)
-    outputs = ctx.map(evaluator.worker, tasks)
-    return [evaluator.assemble(s, outputs[lo:hi])
-            for s, lo, hi in zip(specs, bounds, bounds[1:])]
+    if evaluator.stochastic:
+        tasks, bounds = evaluator.cell_tasks(specs, ctx)
+    else:
+        tasks, bounds = cells, list(range(len(cells) + 1))
+    return [evaluation for evaluation, _elapsed in
+            _raise_first(map_cells(ctx.backend, cells, tasks, bounds))]
+
+
+def _raise_first(outcomes: List) -> List:
+    """*outcomes*, unless one is an exception: then raise the first."""
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes

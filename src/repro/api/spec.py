@@ -671,11 +671,11 @@ class StudySpec:
     def cell_params(self, method: str) -> Dict[str, object]:
         """The scenario-parameter dict of this cell's runner/store identity.
 
-        This is exactly what :func:`repro.api.evaluate` hands to
-        :meth:`ExperimentRunner.run_record` for the internal ``evaluate``
-        scenario.  ``seed`` and ``reps`` are carried *inside* the spec (they
-        are part of its serialised form), so the runner-level seed/reps slots
-        of the store key stay at the spec's own values; ``rel_tol`` is a
+        This is the params slot of the cell's store key, and the payload
+        the internal ``evaluate`` scenario rebuilds its spec from.  ``seed``
+        and ``reps`` are carried *inside* the spec (they are part of its
+        serialised form), so the runner-level seed/reps slots of the store
+        key stay at the spec's own values; ``rel_tol`` is a
         documentation annotation that affects no computed number, so it is
         excluded from the identity — retightening a tolerance must not
         invalidate a numerically identical cache.  Execution-tuning options
@@ -707,12 +707,10 @@ class StudySpec:
         hashes the identical identity the store hashes when the facade runs
         with a store attached.
         """
-        from repro.api.evaluators import get_evaluator, resolve_method
-        resolved = resolve_method(self, method)
-        reps = self.effective_reps() if get_evaluator(resolved).stochastic \
-            else None
-        return store_key(EVALUATE_SCENARIO_NAME, self.cell_params(resolved),
-                         self.seed, reps)
+        from repro.api.evaluators import resolve_method
+        from repro.api.execute import BatchCell, cell_identity
+        return store_key(EVALUATE_SCENARIO_NAME, *cell_identity(
+            BatchCell(self, resolve_method(self, method))))
 
     def __hash__(self) -> int:
         # Mapping fields (options/sweep) defeat the dataclass-generated

@@ -11,8 +11,8 @@ the in-process :class:`ServiceClient` API and the HTTP front end
          ├─ single-flight join   (identical cell already computing)
          └─ admission batch      (leader: group commit into one fan-out)
                   │
-                  └─ flush → execute_cells in a worker thread
-                           → store.put per cell → resolve flight futures
+                  └─ flush → execute_and_store in a worker thread
+                           (execute_cells, a put per cell) → resolve futures
 
 Every layer is keyed by :meth:`StudySpec.canonical_key` — the same content
 address the store uses — so the service's caches, the in-flight registry
@@ -38,12 +38,12 @@ from dataclasses import dataclass, replace as _dc_replace
 from typing import Dict, List, Mapping, Optional, Union
 
 from repro.api.evaluation import Evaluation
-from repro.api.evaluators import get_evaluator, resolve_method
+from repro.api.evaluators import resolve_method
+from repro.api.execute import cell_key, execute_and_store
 from repro.api.spec import EVALUATE_SCENARIO_NAME, StudySpec
 from repro.report.sharded import ShardedResultStore
 from repro.runner.backends import ExecutionBackend, make_backend
-from repro.service.batching import (AdmissionBatcher, BatchCell,
-                                    ExecutedCell, execute_cells)
+from repro.service.batching import AdmissionBatcher, BatchCell
 from repro.service.cache import CachedResult, ResultLRU
 from repro.service.dedup import SingleFlight
 
@@ -156,16 +156,12 @@ class EvaluationService:
                           force: bool = False) -> SubmitOutcome:
         """Evaluate one cell through the dedup/LRU/store/batch stack."""
         resolved = resolve_method(cell, method)
-        evaluator = get_evaluator(resolved)
+        batch_cell = BatchCell(spec=cell, method=resolved)
         self.cells_submitted += 1
-        # Seedless stochastic cells are fresh-entropy experiments: no key,
-        # no cache, no dedup — each submission is its own computation.
-        cacheable = (not evaluator.stochastic) or cell.seed is not None
-        if not cacheable:
-            entry = await self._compute(BatchCell(spec=cell, method=resolved),
-                                        key=None)
+        key = cell_key(batch_cell)
+        if key is None:             # seedless stochastic: no cache, no dedup
+            entry = await self._compute(batch_cell, key=None)
             return self._outcome(cell, resolved, None, "computed", entry)
-        key = cell.canonical_key(resolved)
         if force:
             self.lru.invalidate(key)
         else:
@@ -185,8 +181,7 @@ class EvaluationService:
         if not leader:
             entry = await asyncio.shield(flight)
             return self._outcome(cell, resolved, key, "inflight", entry)
-        entry = await self._compute(BatchCell(spec=cell, method=resolved),
-                                    key=key, flight=flight)
+        entry = await self._compute(batch_cell, key=key, flight=flight)
         return self._outcome(cell, resolved, key, "computed", entry)
 
     def _outcome(self, cell: StudySpec, method: str, key: Optional[str],
@@ -213,8 +208,8 @@ class EvaluationService:
         """Execute one admitted batch off-loop and resolve its futures."""
         try:
             outcomes, dispatches = await asyncio.to_thread(
-                self._execute_and_store, [p.cell for p in batch],
-                [p.key for p in batch])
+                execute_and_store, self.backend, [p.cell for p in batch],
+                self.store)
         except Exception as exc:                      # defensive: whole batch
             outcomes, dispatches = [exc] * len(batch), 0
         self.dispatches += dispatches
@@ -231,30 +226,6 @@ class EvaluationService:
                 self.lru.put(entry)
             if not pending.future.done():
                 pending.future.set_result(entry)
-
-    def _execute_and_store(self, cells: List[BatchCell],
-                           keys: List[Optional[str]]):
-        """Worker-thread body: one fan-out, then persist the cacheable cells.
-
-        Store writes happen here — off the event loop, under the store's
-        per-shard index locks — using the *canonical* cell identity, so the
-        service writes byte-identical records under byte-identical keys to
-        what a direct store-attached ``evaluate`` call writes.
-        """
-        outcomes, dispatches = execute_cells(self.backend, cells)
-        if self.store is not None:
-            described = self.backend.describe()
-            for cell, key, outcome in zip(cells, keys, outcomes):
-                if key is None or not isinstance(outcome, ExecutedCell):
-                    continue
-                reps = cell.spec.effective_reps() \
-                    if get_evaluator(cell.method).stochastic else None
-                self.store.put(EVALUATE_SCENARIO_NAME,
-                               cell.spec.cell_params(cell.method),
-                               cell.spec.seed, reps, backend=described,
-                               elapsed_seconds=outcome.elapsed_seconds,
-                               result=outcome.result)
-        return outcomes, dispatches
 
     # ------------------------------------------------------------- lifecycle
     async def drain(self) -> None:

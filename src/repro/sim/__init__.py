@@ -2,8 +2,8 @@
 
 The paper's authors evaluated their models with an in-house simulation whose code
 is not available; this package provides the replacement substrate: a deterministic,
-seedable discrete-event kernel with generator-based processes, message channels,
-shared resources and measurement utilities.  The recovery-block runtimes of
+seedable discrete-event kernel with generator-based processes, named random
+streams and measurement utilities.  The recovery-block runtimes of
 :mod:`repro.recovery` are ordinary users of this kernel.
 
 Design notes
@@ -14,15 +14,13 @@ Design notes
 * Determinism: given a seed, every run is bit-for-bit reproducible; the event queue
   breaks ties by insertion order.
 * The generator protocol is a deliberately small subset of the SimPy idiom
-  (``yield Timeout(d)``, ``yield event``, ``yield channel.receive()``) so that the
-  recovery runtimes stay readable.
+  (``yield Timeout(d)``, ``yield event``) so that the recovery runtimes stay
+  readable.
 """
 
 from repro.sim.engine import SimulationEngine, Timeout, SimEvent, ProcessExit
 from repro.sim.process import SimProcess
 from repro.sim.random_streams import RandomStreams
-from repro.sim.channels import Channel, Message, MessageRouter
-from repro.sim.resources import Resource
 from repro.sim.monitor import Counter, TimeWeightedStat, Tally, Monitor
 from repro.sim.tracer import Tracer
 
@@ -33,10 +31,6 @@ __all__ = [
     "ProcessExit",
     "SimProcess",
     "RandomStreams",
-    "Channel",
-    "Message",
-    "MessageRouter",
-    "Resource",
     "Counter",
     "TimeWeightedStat",
     "Tally",

@@ -7,8 +7,10 @@ reads only the table's rows), so it is deterministic on any machine.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import textwrap
@@ -103,6 +105,10 @@ class TestImportSets:
         modules = modules_after(CLI, "eval", spec, "--method", "strategy",
                                 "--store", str(tmp_path / "store"))
         assert loaded(modules, ("scipy.integrate",)) == []
+        # Stochastic cells run through the executor, not the runner's
+        # scenario registry, so no scenario module loads.
+        assert loaded(modules, [f"repro.experiments.{name}"
+                                for name in SCENARIO_MODULES]) == []
         assert "repro.api.strategy" in modules
 
     def test_query_load_loads_no_numeric_stack(self, tmp_path):
@@ -212,3 +218,31 @@ class TestTimingImportRow:
         assert seconds["import"] > 0.0
         parts = sum(v for k, v in seconds.items() if k != "total")
         assert parts == pytest.approx(seconds["total"], abs=0.01)
+
+
+def _subpackage(module: str) -> str:
+    """``repro.<first component>`` of a dotted module name."""
+    return ".".join(module.split(".")[:2])
+
+
+class TestPrivateNames:
+    def test_no_private_name_crosses_a_subpackage(self):
+        """A leading underscore marks a name its subpackage may change at
+        will, so no other subpackage may import it."""
+        root = pathlib.Path(SRC)
+        crossings = []
+        for path in sorted((root / "repro").rglob("*.py")):
+            module = ".".join(path.relative_to(root).with_suffix("").parts)
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.ImportFrom) or node.level \
+                        or not (node.module or "").startswith("repro"):
+                    continue
+                if _subpackage(node.module) == _subpackage(module):
+                    continue
+                crossings.extend(
+                    f"{module}: from {node.module} import {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                    and not alias.name.startswith("__"))
+        assert crossings == []
