@@ -60,7 +60,13 @@ from repro.api.spec import (
     StudySpec,
     SystemSpec,
 )
-from repro.api.strategy import StrategyEvaluator  # registers the engine
+from repro._lazy import lazy_exports
+
+# The strategy engine registers itself on first use (see
+# repro.api.evaluators); importing it here would load the recovery runtimes
+# into every evaluation.
+__getattr__, __dir__ = lazy_exports(
+    __name__, {"StrategyEvaluator": "repro.api.strategy"})
 
 __all__ = [
     "AnalyticEvaluator",

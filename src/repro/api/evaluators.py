@@ -27,6 +27,7 @@ cells into one backend fan-out.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import import_module
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -416,6 +417,11 @@ class DiscreteEventEvaluator(_StochasticEvaluator):
 
 _EVALUATORS: Dict[str, Evaluator] = {}
 
+#: Engines registered on first use: name -> the module that registers it.
+#: The strategy engine pulls in the recovery runtimes, the event kernel and
+#: the fault models, which no analytic/mc/des evaluation needs.
+_LAZY_EVALUATORS: Dict[str, str] = {"strategy": "repro.api.strategy"}
+
 
 def register_evaluator(evaluator: Evaluator) -> Evaluator:
     """Register an engine under ``evaluator.name`` (an extension point)."""
@@ -430,15 +436,17 @@ register_evaluator(DiscreteEventEvaluator())
 
 def list_methods() -> List[str]:
     """The registered engine names, sorted (plus the ``auto`` selector)."""
-    return sorted(_EVALUATORS)
+    return sorted(set(_EVALUATORS) | set(_LAZY_EVALUATORS))
 
 
 def get_evaluator(method: str) -> Evaluator:
     """Look up a registered engine; unknown names list the alternatives."""
+    if method not in _EVALUATORS and method in _LAZY_EVALUATORS:
+        import_module(_LAZY_EVALUATORS[method])
     try:
         return _EVALUATORS[method]
     except KeyError:
-        known = ", ".join(sorted(_EVALUATORS))
+        known = ", ".join(list_methods())
         raise KeyError(f"unknown evaluation method {method!r}; known methods: "
                        f"auto, {known}") from None
 

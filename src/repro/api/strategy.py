@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -47,8 +47,10 @@ from repro.api.evaluation import Evaluation
 from repro.api.evaluators import (Evaluator, UnsupportedMetricError,
                                   register_evaluator)
 from repro.api.spec import StudySpec, SystemSpec
-from repro.recovery.report import RunReport
 from repro.runner import ExecutionContext, seed_to_int
+
+if TYPE_CHECKING:  # the runtimes load in the worker, on first use
+    from repro.recovery.report import RunReport
 
 __all__ = [
     "ANALYTIC_STRATEGY_METRICS",

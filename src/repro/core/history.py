@@ -5,12 +5,22 @@ pseudo recovery points) it established and, globally, the interactions between
 processes.  All recovery-line detection and rollback-propagation analysis operates
 on this structure, whether the history was produced by the full discrete-event
 simulator, by the model-level Monte-Carlo sampler, or built by hand in a test.
+
+Storage is flat.  Each process owns a time-sorted list of checkpoint *rows* —
+plain tuples laid out as ``(time, kind, index, origin, work_done,
+contaminated, error_origin)`` (the ``CP_*`` positions below) — so one record
+carries both the history entry and the state it saved; the runtimes' checkpoint
+store indexes the same tuples.  Interactions live in parallel columns (send
+time, receive time, source, target, and a *dead* flag that a rollback sets
+when it invalidates the message).  :class:`~repro.core.types.RecoveryPoint` and
+:class:`~repro.core.types.Interaction` objects are built only when a reader
+asks for them.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.core.types import (
     CheckpointKind,
@@ -19,7 +29,16 @@ from repro.core.types import (
     RecoveryPoint,
 )
 
-__all__ = ["HistoryDiagram"]
+__all__ = ["HistoryDiagram", "CP_TIME", "CP_KIND", "CP_INDEX", "CP_ORIGIN",
+           "CP_WORK", "CP_CONTAMINATED", "CP_ERROR_ORIGIN"]
+
+#: Positions in a checkpoint row.
+CP_TIME, CP_KIND, CP_INDEX, CP_ORIGIN, CP_WORK, CP_CONTAMINATED, \
+    CP_ERROR_ORIGIN = range(7)
+
+_REGULAR = CheckpointKind.REGULAR
+_PSEUDO = CheckpointKind.PSEUDO
+_INITIAL = CheckpointKind.INITIAL
 
 
 class HistoryDiagram:
@@ -27,7 +46,8 @@ class HistoryDiagram:
 
     The structure is append-friendly (events arrive in time order from the
     simulator) but also supports out-of-order insertion for hand-built test
-    fixtures; per-process checkpoint lists are kept sorted by time.
+    fixtures; per-process checkpoint rows and the interaction columns are kept
+    sorted by time (equal times in insertion order).
     """
 
     def __init__(self, n_processes: int) -> None:
@@ -35,64 +55,169 @@ class HistoryDiagram:
         if n_processes < 1:
             raise ValueError("a history needs at least one process")
         self._n = n_processes
-        self._checkpoints: List[List[RecoveryPoint]] = [[] for _ in range(n_processes)]
-        self._checkpoint_times: List[List[float]] = [[] for _ in range(n_processes)]
-        self._interactions: List[Interaction] = []
-        self._interaction_times: List[float] = []
-        self._counters: List[int] = [0] * n_processes
         # Every process implicitly starts with a verified initial state at t = 0.
-        for pid in range(n_processes):
-            self._insert_checkpoint(RecoveryPoint(time=0.0, process=pid, index=0,
-                                                  kind=CheckpointKind.INITIAL))
+        self._rows: List[List[tuple]] = [
+            [(0.0, _INITIAL, 0, None, 0.0, False, None)]
+            for _ in range(n_processes)]
+        self._times: List[List[float]] = [[0.0] for _ in range(n_processes)]
+        self._counters: List[int] = [1] * n_processes
+        # (process, origin) -> the earliest PRP row of *process* for that origin.
+        self._pseudo: dict = {}
+        self._it_time: List[float] = []
+        self._it_recv: List[float] = []
+        self._it_src: List[int] = []
+        self._it_dst: List[int] = []
+        self._it_dead: List[bool] = []
+        #: Whether the receive-time column is sorted too (true for every
+        #: history recorded in time order with a constant message latency).
+        self.receive_sorted = True
 
     # ------------------------------------------------------------------ mutation
-    def _insert_checkpoint(self, rp: RecoveryPoint) -> RecoveryPoint:
-        times = self._checkpoint_times[rp.process]
-        if not times or rp.time >= times[-1]:
+    def append_checkpoint(self, process: ProcessId, time: float,
+                          kind: CheckpointKind, origin=None,
+                          work_done: float = 0.0, contaminated: bool = False,
+                          error_origin: Optional[ProcessId] = None) -> tuple:
+        """Record a checkpoint row for *process* and return it (unvalidated).
+
+        The runtimes' per-checkpoint entry point: the caller guarantees a
+        valid process, a non-negative time and an origin for pseudo points.
+        """
+        index = self._counters[process]
+        self._counters[process] = index + 1
+        row = (time, kind, index, origin, work_done, contaminated, error_origin)
+        times = self._times[process]
+        if time >= times[-1]:
             # Live simulations insert in time order; bisect_right lands at the
             # end for a time >= the last entry, so this is the same position.
-            times.append(rp.time)
-            self._checkpoints[rp.process].append(rp)
+            times.append(time)
+            self._rows[process].append(row)
         else:
-            pos = bisect.bisect_right(times, rp.time)
-            times.insert(pos, rp.time)
-            self._checkpoints[rp.process].insert(pos, rp)
-        if rp.index >= self._counters[rp.process]:
-            self._counters[rp.process] = rp.index + 1
-        return rp
+            pos = bisect.bisect_right(times, time)
+            times.insert(pos, time)
+            self._rows[process].insert(pos, row)
+        if kind is _PSEUDO:
+            key = (process, origin)
+            first = self._pseudo.get(key)
+            if first is None or time < first[CP_TIME]:
+                self._pseudo[key] = row
+        return row
 
     def add_recovery_point(self, process: ProcessId, time: float,
                            kind: CheckpointKind = CheckpointKind.REGULAR,
                            origin: Optional[Tuple[ProcessId, int]] = None
                            ) -> RecoveryPoint:
         """Record a checkpoint for *process* at *time* and return it."""
-        if not 0 <= process < self._n:  # inlined _check_process
-            raise ValueError(f"process {process} out of range [0, {self._n})")
-        rp = RecoveryPoint(time=float(time), process=process,
-                           index=self._counters[process], kind=kind, origin=origin)
-        return self._insert_checkpoint(rp)
+        self._check_process(process)
+        if time < 0.0:
+            raise ValueError("recovery point time must be non-negative")
+        if kind is _PSEUDO and origin is None:
+            raise ValueError("pseudo recovery points must record their origin RP")
+        if origin is not None:
+            origin = tuple(origin)
+        return self.point(process, self.append_checkpoint(process, float(time),
+                                                          kind, origin))
+
+    def append_interaction(self, source: ProcessId, target: ProcessId,
+                           time: float, receive_time: float) -> None:
+        """Record one interaction row (unvalidated; see :meth:`add_interaction`)."""
+        times = self._it_time
+        if not times or time >= times[-1]:
+            if times and receive_time < self._it_recv[-1]:
+                self.receive_sorted = False
+            times.append(time)
+            self._it_recv.append(receive_time)
+            self._it_src.append(source)
+            self._it_dst.append(target)
+            self._it_dead.append(False)
+        else:
+            self.receive_sorted = False
+            pos = bisect.bisect_right(times, time)
+            times.insert(pos, time)
+            self._it_recv.insert(pos, receive_time)
+            self._it_src.insert(pos, source)
+            self._it_dst.insert(pos, target)
+            self._it_dead.insert(pos, False)
 
     def add_interaction(self, source: ProcessId, target: ProcessId, time: float,
                         receive_time: Optional[float] = None,
                         message: object = None) -> Interaction:
         """Record an interaction (message) from *source* to *target*."""
-        if not 0 <= source < self._n:  # inlined _check_process
-            raise ValueError(f"process {source} out of range [0, {self._n})")
-        if not 0 <= target < self._n:
-            raise ValueError(f"process {target} out of range [0, {self._n})")
+        self._check_process(source)
+        self._check_process(target)
         interaction = Interaction(time=float(time), source=source, target=target,
                                   receive_time=float(receive_time)
                                   if receive_time is not None else -1.0,
                                   message=message)
-        times = self._interaction_times
-        if not times or interaction.time >= times[-1]:
-            times.append(interaction.time)
-            self._interactions.append(interaction)
-        else:
-            pos = bisect.bisect_right(times, interaction.time)
-            times.insert(pos, interaction.time)
-            self._interactions.insert(pos, interaction)
+        self.append_interaction(source, target, interaction.time,
+                                interaction.receive_time)
         return interaction
+
+    def kill_interactions(self, positions: Iterable[int]) -> None:
+        """Flag interactions (by column position) as invalidated by a rollback."""
+        dead = self._it_dead
+        for k in positions:
+            dead[k] = True
+
+    # ------------------------------------------------------------------ columns
+    def checkpoint_rows(self, process: ProcessId
+                        ) -> Tuple[List[tuple], List[float]]:
+        """The time-ordered checkpoint rows of *process* and their times.
+
+        Both lists alias internal storage (zero-copy); callers must treat them
+        as read-only.  The parallel times list exists so callers can bisect.
+        """
+        return self._rows[process], self._times[process]
+
+    def interaction_columns(self) -> Tuple[List[float], List[float], List[int],
+                                           List[int], List[bool]]:
+        """Send times, receive times, sources, targets and dead flags (aliases)."""
+        return (self._it_time, self._it_recv, self._it_src, self._it_dst,
+                self._it_dead)
+
+    def pseudo_row(self, process: ProcessId, origin) -> Optional[tuple]:
+        """The earliest PRP row of *process* implanted for *origin*, if any."""
+        return self._pseudo.get((process, origin))
+
+    def latest_row(self, process: ProcessId, time: float,
+                   failed_process: Optional[ProcessId] = None) -> tuple:
+        """Latest row of *process* at or before *time* usable for a failure.
+
+        Verified checkpoints (regular RPs and the initial state) are always
+        usable; a PRP only when its triggering RP belongs to *failed_process*
+        (see :meth:`repro.core.types.RecoveryPoint.is_usable_for`).
+        """
+        return self._latest(process,
+                            bisect.bisect_right(self._times[process], time),
+                            True, failed_process)
+
+    def _latest(self, process: ProcessId, pos: int, usable_only: bool,
+                failed_process: Optional[ProcessId]) -> tuple:
+        rows = self._rows[process]
+        for idx in range(pos - 1, -1, -1):
+            row = rows[idx]
+            if usable_only and row[CP_KIND] is _PSEUDO and (
+                    failed_process is None
+                    or row[CP_ORIGIN][0] != failed_process):
+                continue
+            return row
+        # Unreachable: index 0 is always the initial state which is verified.
+        raise AssertionError("history invariant violated: missing initial state")
+
+    @staticmethod
+    def point(process: ProcessId, row: tuple) -> RecoveryPoint:
+        """The :class:`RecoveryPoint` view of checkpoint *row* of *process*."""
+        return RecoveryPoint(time=row[CP_TIME], process=process,
+                             index=row[CP_INDEX], kind=row[CP_KIND],
+                             origin=row[CP_ORIGIN])
+
+    def interaction(self, k: int) -> Interaction:
+        """The :class:`Interaction` view of column position *k*."""
+        return Interaction(time=self._it_time[k], source=self._it_src[k],
+                           target=self._it_dst[k],
+                           receive_time=self._it_recv[k])
+
+    def _interactions(self, lo: int, hi: int) -> List[Interaction]:
+        return [self.interaction(k) for k in range(lo, hi)]
 
     # ------------------------------------------------------------------ inspection
     def _check_process(self, process: ProcessId) -> None:
@@ -109,49 +234,27 @@ class HistoryDiagram:
 
     @property
     def interactions(self) -> List[Interaction]:
-        return list(self._interactions)
+        return self._interactions(0, len(self._it_time))
 
-    def interactions_until(self, time: float) -> Sequence[Interaction]:
-        """Interactions with send time ≤ *time*, as a read-only view.
+    def interactions_until(self, time: float) -> List[Interaction]:
+        """Interactions with send time ≤ *time*."""
+        return self._interactions(0, bisect.bisect_right(self._it_time, time))
 
-        The returned sequence aliases internal storage (interactions are kept
-        sorted by send time, so the cut is a bisect) — callers must not mutate
-        it, and must not hold it across subsequent ``add_interaction`` calls.
-        Rollback propagation sweeps this instead of copying the full list on
-        every fixpoint iteration.
-        """
-        pos = bisect.bisect_right(self._interaction_times, time)
-        if pos == len(self._interactions):
-            return self._interactions
-        return self._interactions[:pos]
-
-    def checkpoints_view(self, process: ProcessId
-                         ) -> Tuple[Sequence[RecoveryPoint], Sequence[float]]:
-        """Time-ordered checkpoints of *process* and their times, zero-copy.
-
-        Both sequences alias internal storage and grow with later inserts;
-        callers must treat them as read-only snapshots for the duration of one
-        analysis step.  The parallel times list exists so callers can bisect.
-        """
-        self._check_process(process)
-        return self._checkpoints[process], self._checkpoint_times[process]
+    def interactions_window(self, start: float, end: float) -> List[Interaction]:
+        """Interactions with send time in ``(start, end]``."""
+        return self._interactions(bisect.bisect_right(self._it_time, start),
+                                  bisect.bisect_right(self._it_time, end))
 
     def checkpoints(self, process: ProcessId,
                     kinds: Optional[Iterable[CheckpointKind]] = None
                     ) -> List[RecoveryPoint]:
         """All checkpoints of *process* (optionally filtered by kind), time ordered."""
         self._check_process(process)
-        points = self._checkpoints[process]
-        if kinds is None:
-            return list(points)
-        wanted = set(kinds)
-        if len(wanted) == 1:
-            # The dominant query (regular RPs only, every rollback plan):
-            # enum members are singletons, so an identity check beats the
-            # set probe, which would hash the enum on every checkpoint.
-            kind = next(iter(wanted))
-            return [rp for rp in points if rp.kind is kind]
-        return [rp for rp in points if rp.kind in wanted]
+        rows = self._rows[process]
+        if kinds is not None:
+            wanted = set(kinds)
+            rows = [row for row in rows if row[CP_KIND] in wanted]
+        return [self.point(process, row) for row in rows]
 
     def recovery_points(self, process: ProcessId) -> List[RecoveryPoint]:
         """Regular recovery points of *process* (excludes PRPs and the initial state)."""
@@ -159,9 +262,10 @@ class HistoryDiagram:
 
     def checkpoint_count(self, process: ProcessId,
                          kind: Optional[CheckpointKind] = None) -> int:
+        rows = self._rows[process]
         if kind is None:
-            return len(self._checkpoints[process])
-        return len(self.checkpoints(process, kinds=(kind,)))
+            return len(rows)
+        return sum(1 for row in rows if row[CP_KIND] is kind)
 
     def latest_checkpoint_before(self, process: ProcessId, time: float,
                                  *, inclusive: bool = True,
@@ -176,17 +280,11 @@ class HistoryDiagram:
         t = 0 guarantees a result always exists.
         """
         self._check_process(process)
-        times = self._checkpoint_times[process]
+        times = self._times[process]
         pos = (bisect.bisect_right(times, time) if inclusive
                else bisect.bisect_left(times, time))
-        for idx in range(pos - 1, -1, -1):
-            rp = self._checkpoints[process][idx]
-            if usable_only and not rp.kind.verified:
-                if failed_process is None or not rp.is_usable_for(failed_process):
-                    continue
-            return rp
-        # Unreachable: index 0 is always the initial state which is verified.
-        raise AssertionError("history invariant violated: missing initial state")
+        return self.point(process, self._latest(process, pos, usable_only,
+                                                failed_process))
 
     def interactions_between(self, a: ProcessId, b: ProcessId,
                              start: float, end: float,
@@ -199,50 +297,42 @@ class HistoryDiagram:
         self._check_process(a)
         self._check_process(b)
         lo, hi = (min(start, end), max(start, end))
-        out = []
-        for interaction in self._interactions:
-            t = interaction.time
-            if closed:
-                inside = lo <= t <= hi
-            else:
-                inside = lo < t < hi
-            if inside and interaction.involves(a) and interaction.involves(b):
-                out.append(interaction)
-        return out
+        times = self._it_time
+        first = (bisect.bisect_left(times, lo) if closed
+                 else bisect.bisect_right(times, lo))
+        last = (bisect.bisect_right(times, hi) if closed
+                else bisect.bisect_left(times, hi))
+        src, dst = self._it_src, self._it_dst
+        return [self.interaction(k) for k in range(first, last)
+                if (src[k] == a or dst[k] == a) and (src[k] == b or dst[k] == b)]
 
     def interactions_involving(self, process: ProcessId,
                                start: float = 0.0,
                                end: float = float("inf")) -> List[Interaction]:
         """Interactions touching *process* whose send or receive time lies in (start, end]."""
         self._check_process(process)
+        return [self.interaction(k)
+                for k in self.involving(process, start, end)]
+
+    def involving(self, process: ProcessId, start: float, end: float,
+                  *, live_only: bool = False) -> List[int]:
+        """Column positions of :meth:`interactions_involving` (optionally live)."""
         out = []
-        # The list is sorted by send time and receive >= send, so anything sent
-        # after *end* can never fall in the window — cut the tail with a bisect
-        # instead of scanning the whole history.  involves()/window() are
-        # spelled out as attribute reads: this sweep touches every interaction
-        # of every rollback plan, and the method frames dominate it.
-        for interaction in self.interactions_until(end):
-            if interaction.source == process:
-                t = interaction.time
-            elif interaction.target == process:
-                t = interaction.receive_time
-            else:
-                continue
-            if start < t <= end:
-                out.append(interaction)
+        # Sorted by send time and receive >= send: anything sent after *end*
+        # can never fall in the window, and with sorted receive times neither
+        # can anything received no later than *start*.
+        recv, src, dst, dead = (self._it_recv, self._it_src, self._it_dst,
+                                self._it_dead)
+        hi = bisect.bisect_right(self._it_time, end)
+        lo = bisect.bisect_right(recv, start, 0, hi) if self.receive_sorted else 0
+        for k, t in zip(range(lo, hi), self._it_time[lo:hi]):
+            if src[k] != process:
+                if dst[k] != process:
+                    continue
+                t = recv[k]
+            if start < t <= end and not (live_only and dead[k]):
+                out.append(k)
         return out
-
-    def interactions_window(self, start: float, end: float) -> List[Interaction]:
-        """Interactions with send time in ``(start, end]`` (read-only slice).
-
-        Zero-copy when the window spans the whole history; callers must not
-        mutate the returned list.
-        """
-        lo = bisect.bisect_right(self._interaction_times, start)
-        hi = bisect.bisect_right(self._interaction_times, end)
-        if lo == 0 and hi == len(self._interactions):
-            return self._interactions
-        return self._interactions[lo:hi]
 
     def last_event_kind(self, process: ProcessId, time: float) -> str:
         """Return ``"rp"``, ``"interaction"`` or ``"none"`` for the last event ≤ *time*.
@@ -253,16 +343,18 @@ class HistoryDiagram:
         """
         self._check_process(process)
         last_rp = None
-        for rp in reversed(self.checkpoints(process, kinds=(CheckpointKind.REGULAR,))):
-            if rp.time <= time:
-                last_rp = rp.time
+        for row in reversed(self._rows[process]):
+            if row[CP_KIND] is _REGULAR and row[CP_TIME] <= time:
+                last_rp = row[CP_TIME]
                 break
         last_int = None
-        for interaction in reversed(self._interactions):
-            if not interaction.involves(process):
+        for k in range(len(self._it_time) - 1, -1, -1):
+            if self._it_src[k] == process:
+                t = self._it_time[k]
+            elif self._it_dst[k] == process:
+                t = self._it_recv[k]
+            else:
                 continue
-            send, recv = interaction.window()
-            t = send if interaction.source == process else recv
             if t <= time:
                 last_int = t
                 break
@@ -275,12 +367,9 @@ class HistoryDiagram:
     @property
     def end_time(self) -> float:
         """Latest timestamp recorded in the history."""
-        latest = 0.0
-        for points in self._checkpoints:
-            if points:
-                latest = max(latest, points[-1].time)
-        if self._interactions:
-            latest = max(latest, max(i.receive_time for i in self._interactions))
+        latest = max(times[-1] for times in self._times)
+        if self._it_recv:
+            latest = max(latest, max(self._it_recv))
         return latest
 
     # ------------------------------------------------------------------ rendering
@@ -301,15 +390,14 @@ class HistoryDiagram:
         for pid in range(self._n):
             row = [" "] * width
             row[0] = "|"
-            for interaction in self._interactions:
-                if interaction.involves(pid):
-                    send, recv = interaction.window()
-                    t = send if interaction.source == pid else recv
-                    row[col(t)] = "x"
-            for rp in self._checkpoints[pid]:
-                if rp.kind is CheckpointKind.INITIAL:
+            for k in self.involving(pid, -1.0, float("inf")):
+                t = (self._it_time[k] if self._it_src[k] == pid
+                     else self._it_recv[k])
+                row[col(t)] = "x"
+            for cp in self._rows[pid]:
+                if cp[CP_KIND] is _INITIAL:
                     continue
-                row[col(rp.time)] = "o" if rp.kind is CheckpointKind.REGULAR else "p"
+                row[col(cp[CP_TIME])] = "o" if cp[CP_KIND] is _REGULAR else "p"
             rows.append(f"P{pid + 1} " + "".join(row))
         header = f"t=0 {'.' * (width - 12)} t={horizon:.3f}"
         return "\n".join(["   " + header] + rows)
@@ -318,16 +406,16 @@ class HistoryDiagram:
     def validate(self) -> None:
         """Check internal invariants; raises :class:`AssertionError` on violation."""
         for pid in range(self._n):
-            times = self._checkpoint_times[pid]
+            times = self._times[pid]
             assert all(times[i] <= times[i + 1] for i in range(len(times) - 1)), \
                 f"checkpoints of process {pid} out of order"
-            assert self._checkpoints[pid][0].kind is CheckpointKind.INITIAL, \
+            assert self._rows[pid][0][CP_KIND] is _INITIAL, \
                 f"process {pid} lost its initial state"
-        times = self._interaction_times
+        times = self._it_time
         assert all(times[i] <= times[i + 1] for i in range(len(times) - 1)), \
             "interactions out of order"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        counts = ", ".join(str(len(points) - 1) for points in self._checkpoints)
+        counts = ", ".join(str(len(rows) - 1) for rows in self._rows)
         return (f"HistoryDiagram(n={self._n}, checkpoints=[{counts}], "
-                f"interactions={len(self._interactions)})")
+                f"interactions={len(self._it_time)})")

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.history import HistoryDiagram
+from repro.core.history import CP_KIND, CP_TIME, HistoryDiagram
 from repro.core.types import (
     CheckpointKind,
     Interaction,
@@ -30,7 +30,11 @@ from repro.core.types import (
     RecoveryPoint,
 )
 
-__all__ = ["RollbackResult", "propagate_rollback", "rollback_distance", "is_domino"]
+__all__ = ["RollbackResult", "propagate_rollback", "rollback_distance",
+           "is_domino", "rollback_rows"]
+
+_INITIAL = CheckpointKind.INITIAL
+_PSEUDO = CheckpointKind.PSEUDO
 
 
 @dataclass(frozen=True)
@@ -100,6 +104,96 @@ class RollbackResult:
                    and rp.kind is not CheckpointKind.INITIAL)
 
 
+def rollback_rows(history: HistoryDiagram, failed_process: ProcessId,
+                  failure_time: float, dead: Sequence[bool],
+                  usable: Optional[Callable[[ProcessId, tuple], bool]] = None,
+                  max_iterations: int = 10_000
+                  ) -> Tuple[Dict[ProcessId, tuple], List[int], int]:
+    """The rollback-propagation fixpoint over the history's columns.
+
+    Returns ``(restart, invalidated, iterations)``: the checkpoint row each
+    affected process restarts from (in the order the propagation reached
+    them), the column positions of the interactions the rollback
+    invalidates, and the number of sweeps.  *dead* flags interactions (by
+    column position) that an earlier rollback already invalidated; it is read,
+    never written.  *usable* selects restart rows beyond the always-usable
+    initial state; by default regular recovery points only.
+    """
+    def latest_usable(process: ProcessId, pos: int) -> tuple:
+        # Walk back from *pos* to the most recent usable row.  Among usable
+        # rows sharing that maximal time the walk keeps going, so the
+        # *first-inserted* one wins.
+        rows = history.checkpoint_rows(process)[0]
+        best = None
+        for idx in range(pos - 1, -1, -1):
+            row = rows[idx]
+            if best is not None and row[CP_TIME] < best[CP_TIME]:
+                break
+            kind = row[CP_KIND]
+            if kind is _INITIAL or (kind is not _PSEUDO if usable is None
+                                    else usable(process, row)):
+                best = row
+        assert best is not None, "initial state must always be usable"
+        return best
+
+    # horizon[p]: time up to which process p's computation is currently valid.
+    horizon = [failure_time] * history.n_processes
+    restart: Dict[ProcessId, tuple] = {}
+
+    # The failed process must discard the state at the failure point itself, hence
+    # the inclusive latest checkpoint at or before the failure time.
+    times = history.checkpoint_rows(failed_process)[1]
+    first = latest_usable(failed_process,
+                          bisect.bisect_right(times, failure_time))
+    restart[failed_process] = first
+    horizon[failed_process] = first[CP_TIME]
+
+    # Only interactions *sent* at or before the failure can ever be orphans
+    # (receive_time >= send time, and both orphan tests cap the endpoint at
+    # failure_time); the columns are sorted by send time, so the sweep window
+    # is a bisect cut.
+    send_col, recv_col, src_col, dst_col, _ = history.interaction_columns()
+    hi = bisect.bisect_right(send_col, failure_time)
+    gone = list(dead[:hi])
+    invalidated: List[int] = []
+    iterations = 0
+    changed = True
+    while changed:
+        iterations += 1
+        if iterations > max_iterations:
+            raise RuntimeError("rollback propagation did not converge")
+        changed = False
+        # An interaction sent and received no later than every horizon is no
+        # orphan, and nothing changes before the sweep meets its first orphan:
+        # with sorted receive times that whole prefix is skipped exactly.
+        lo = (bisect.bisect_right(recv_col, min(horizon), 0, hi)
+              if history.receive_sorted else 0)
+        for k, send, recv, src, dst in zip(
+                range(lo, hi), send_col[lo:hi], recv_col[lo:hi],
+                src_col[lo:hi], dst_col[lo:hi]):
+            if gone[k]:
+                continue
+            # The interaction is an orphan if either endpoint falls in discarded
+            # computation of its participant.
+            if not (send > horizon[src]
+                    or (recv > horizon[dst] and recv <= failure_time)):
+                continue
+            gone[k] = True
+            invalidated.append(k)
+            # Both participants must restart before their endpoint of the
+            # interaction (the message and its effects are discarded).  The
+            # candidate lies strictly before the endpoint, hence before the
+            # horizon, so it always moves the horizon back.
+            for process, endpoint in ((src, send), (dst, recv)):
+                if horizon[process] >= endpoint:
+                    candidate = latest_usable(process, bisect.bisect_left(
+                        history.checkpoint_rows(process)[1], endpoint))
+                    restart[process] = candidate
+                    horizon[process] = candidate[CP_TIME]
+                    changed = True
+    return restart, invalidated, iterations
+
+
 def propagate_rollback(history: HistoryDiagram, failed_process: ProcessId,
                        failure_time: float,
                        *,
@@ -108,6 +202,10 @@ def propagate_rollback(history: HistoryDiagram, failed_process: ProcessId,
                        excluded_interactions: Optional[Set[Interaction]] = None,
                        max_iterations: int = 10_000) -> RollbackResult:
     """Compute the rollback propagation triggered by a failure.
+
+    Runs :func:`rollback_rows` and presents its rows as
+    :class:`~repro.core.types.RecoveryPoint` and
+    :class:`~repro.core.types.Interaction` objects.
 
     Parameters
     ----------
@@ -131,93 +229,22 @@ def propagate_rollback(history: HistoryDiagram, failed_process: ProcessId,
         raise ValueError(f"failed process {failed_process} out of range")
     if failure_time < 0.0:
         raise ValueError("failure time must be non-negative")
-
-    def usable(rp: RecoveryPoint) -> bool:
-        if rp.kind is CheckpointKind.INITIAL:
-            return True
-        if checkpoint_filter is None:
-            return rp.kind is CheckpointKind.REGULAR
-        return checkpoint_filter(rp)
-
-    def latest_usable(process: ProcessId, before: float, inclusive: bool) -> RecoveryPoint:
-        # Bisect into the time-sorted checkpoint list, then walk backwards to
-        # the most recent usable checkpoint.  Among usable checkpoints sharing
-        # that maximal time the walk keeps going, so the *first-inserted* one
-        # wins — the exact tie-break of the historical forward max-scan.
-        points, times = history.checkpoints_view(process)
-        pos = (bisect.bisect_right(times, before) if inclusive
-               else bisect.bisect_left(times, before))
-        best: Optional[RecoveryPoint] = None
-        for idx in range(pos - 1, -1, -1):
-            rp = points[idx]
-            if best is not None and rp.time < best.time:
-                break
-            if usable(rp):
-                best = rp
-        assert best is not None, "initial state must always be usable"
-        return best
-
-    # horizon[p]: time up to which process p's computation is currently valid.
-    horizon: Dict[ProcessId, float] = {p: failure_time for p in history.processes}
-    restart: Dict[ProcessId, RecoveryPoint] = {}
-
-    # The failed process must discard the state at the failure point itself, hence
-    # the inclusive latest checkpoint at or before the failure time.
-    first = latest_usable(failed_process, failure_time, inclusive=True)
-    restart[failed_process] = first
-    horizon[failed_process] = first.time
-
-    # Only interactions *sent* at or before the failure can ever be orphans
-    # (receive_time ≥ send time, and both orphan tests cap the endpoint at
-    # failure_time), and the history keeps interactions sorted by send time —
-    # so the sweep window is a bisect cut, taken once, not a full-list copy
-    # per fixpoint iteration.  Already-excluded interactions are dropped up
-    # front; invalidation is tracked per-index so the inner loop never hashes.
+    usable = None
+    if checkpoint_filter is not None:
+        def usable(process: ProcessId, row: tuple) -> bool:
+            return checkpoint_filter(history.point(process, row))
+    count = len(history.interaction_columns()[0])
     excluded = excluded_interactions or set()
-    candidates = [interaction
-                  for interaction in history.interactions_until(failure_time)
-                  if interaction not in excluded]
-    dead = [False] * len(candidates)
-    invalidated: Set[Interaction] = set()
-    iterations = 0
-    changed = True
-    while changed:
-        iterations += 1
-        if iterations > max_iterations:
-            raise RuntimeError("rollback propagation did not converge")
-        changed = False
-        for pos, interaction in enumerate(candidates):
-            if dead[pos]:
-                continue
-            send = interaction.time
-            recv = interaction.receive_time
-            src, dst = interaction.source, interaction.target
-            # The interaction is an orphan if either endpoint falls in discarded
-            # computation of its participant.
-            src_orphan = send > horizon[src]
-            dst_orphan = recv > horizon[dst] and recv <= failure_time
-            if not (src_orphan or dst_orphan):
-                continue
-            dead[pos] = True
-            invalidated.add(interaction)
-            # Both participants must restart before their endpoint of the
-            # interaction (the message and its effects are discarded).
-            for process, endpoint in ((src, send), (dst, recv)):
-                if horizon[process] >= endpoint:
-                    candidate = latest_usable(process, endpoint, inclusive=False)
-                    if candidate.time < horizon[process]:
-                        restart[process] = candidate
-                        horizon[process] = candidate.time
-                        changed = True
-                    elif process not in restart:
-                        restart[process] = candidate
-                        changed = True
-
-    affected = tuple(sorted(restart))
-    return RollbackResult(failed_process=failed_process, failure_time=failure_time,
-                          restart_points=dict(restart), affected=affected,
-                          iterations=iterations,
-                          invalidated_interactions=tuple(sorted(invalidated)))
+    dead = [history.interaction(k) in excluded for k in range(count)] \
+        if excluded else [False] * count
+    restart, invalidated, iterations = rollback_rows(
+        history, failed_process, failure_time, dead, usable, max_iterations)
+    return RollbackResult(
+        failed_process=failed_process, failure_time=failure_time,
+        restart_points={p: history.point(p, row) for p, row in restart.items()},
+        affected=tuple(sorted(restart)), iterations=iterations,
+        invalidated_interactions=tuple(sorted(
+            {history.interaction(k) for k in invalidated})))
 
 
 def rollback_distance(history: HistoryDiagram, failed_process: ProcessId,

@@ -44,6 +44,7 @@ from scipy import linalg as sla
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
+from repro.util.blas import pin_blas_threads
 from repro.util.linalg import solve_linear
 
 __all__ = [
@@ -172,6 +173,9 @@ class DenseTransientOperator(TransientOperator):
         T = np.asarray(T, dtype=float)
         if T.ndim != 2 or T.shape[0] != T.shape[1]:
             raise ValueError("T must be square")
+        # One BLAS thread: a threaded LU reorders its reductions, and every
+        # dense result must be the same bits on any machine.
+        pin_blas_threads()
         self._T = T
         self._lu: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._lu_t: Optional[Tuple[np.ndarray, np.ndarray]] = None

@@ -35,8 +35,7 @@ from typing import Optional
 
 from repro.recovery.checkpoint import SavedState, CheckpointStore
 from repro.recovery.report import RunReport, ProcessReport
-from repro.recovery.base import RecoverySchemeRuntime, ProcessRuntime
-from repro.recovery.coordinator import RollbackCoordinator
+from repro.recovery.base import RecoverySchemeRuntime
 from repro.recovery.asynchronous import AsynchronousRuntime
 from repro.recovery.synchronized import SynchronizedRuntime, SyncStrategy
 from repro.recovery.pseudo import PseudoRecoveryPointRuntime
@@ -47,8 +46,6 @@ __all__ = [
     "RunReport",
     "ProcessReport",
     "RecoverySchemeRuntime",
-    "ProcessRuntime",
-    "RollbackCoordinator",
     "AsynchronousRuntime",
     "SynchronizedRuntime",
     "SyncStrategy",

@@ -17,9 +17,8 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.recovery_line import ExactRecoveryLineDetector
-from repro.processes.program import RecoveryBlockExecutor
+from repro.core.rollback import rollback_rows
 from repro.recovery.base import RecoverySchemeRuntime
-from repro.recovery.coordinator import RollbackCoordinator
 from repro.workloads.spec import WorkloadSpec
 
 __all__ = ["AsynchronousRuntime"]
@@ -47,45 +46,27 @@ class AsynchronousRuntime(RecoverySchemeRuntime):
     def __init__(self, workload: WorkloadSpec, seed: Optional[int] = None, *,
                  purge_behind_recovery_lines: bool = False) -> None:
         super().__init__(workload, seed)
-        self.coordinator = RollbackCoordinator(self)
         self.purge_behind_recovery_lines = bool(purge_behind_recovery_lines)
-        self._executors = [RecoveryBlockExecutor(workload.block_spec,
-                                                 self._rng(f"alternates.{pid}"))
-                           for pid in range(self.n)]
+        self._executors = self._block_executors()
         self._line_detector = ExactRecoveryLineDetector()
 
     # ------------------------------------------------------------------ hooks
     def on_block_boundary(self, pid: int) -> None:
-        proc = self.proc(pid)
-        # Acceptance test (with the external-detection nuance of Section 2.1).
-        detected = self.run_acceptance_test(pid)
-        if detected:
-            self.on_error_detected(pid)
-            return
-        # The block may still need alternate retries for algorithmic (not
-        # state-contamination) failures; the extra time is charged as a pause.
-        nominal = 1.0 / float(self.params.mu[pid])
-        outcome = self._executors[pid].execute(nominal, state_contaminated=False)
-        extra = max(0.0, outcome.elapsed - nominal)
-        if not outcome.passed:
-            # All alternates failed: treat as a detected local error.
-            self.monitor.counter("alternates_exhausted").increment()
-            self.on_error_detected(pid)
-            return
-        if extra > 0.0:
-            self.pause_for(pid, extra, reason="restart")
-        self.take_checkpoint(pid)
-        if self.purge_behind_recovery_lines:
-            self._maybe_purge()
+        if self._block_passes(pid):
+            self.take_checkpoint(pid)
+            if self.purge_behind_recovery_lines:
+                self._maybe_purge()
 
     def on_error_detected(self, pid: int) -> None:
-        result = self.coordinator.plan_asynchronous(pid, self.now)
-        self.coordinator.apply(pid, result.restart_points,
-                               result.invalidated_interactions)
+        # Section 2 semantics: only regular recovery points are restart states.
+        history = self.history
+        restart, invalidated, _ = rollback_rows(
+            history, pid, self.now, history.interaction_columns()[4])
+        self.apply_rollback(pid, restart, invalidated)
 
     # ------------------------------------------------------------------ extras
     def _maybe_purge(self) -> None:
-        lines = self._line_detector.find_lines(self.tracer.history)
+        lines = self._line_detector.find_lines(self.history)
         if len(lines) < 2:
             return
         latest = lines[-1]

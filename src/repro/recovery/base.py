@@ -1,30 +1,39 @@
 """Common machinery of the recovery-scheme runtimes.
 
-:class:`ProcessRuntime` tracks one simulated process: how much useful work it has
-completed, whether it is currently running or paused (checkpointing, restarting,
-waiting for a synchronisation commit), and whether its state is contaminated by an
-undetected error.  :class:`RecoverySchemeRuntime` owns the simulation engine, the
-random streams, the tracer/history, the checkpoint store, and the three recurring
-event families every scheme needs — recovery-block boundaries, pairwise
-interactions and fault arrivals — and leaves the scheme-specific reactions to
-subclasses via three hooks:
+:class:`RecoverySchemeRuntime` owns the simulation engine, the random streams,
+the tracer/history, the checkpoint store, and the three recurring event
+families every scheme needs — recovery-block boundaries, pairwise interactions
+and fault arrivals — and leaves the scheme-specific reactions to subclasses via
+three hooks:
 
 * :meth:`RecoverySchemeRuntime.on_block_boundary`
 * :meth:`RecoverySchemeRuntime.on_interaction`
 * :meth:`RecoverySchemeRuntime.on_error_detected`
+
+Process state is kept in flat per-process columns (lists indexed by process
+id): useful work done, whether the process is running or paused
+(checkpointing, restarting, waiting for a synchronisation commit), whether it
+is done, the origin of an undetected error contaminating its state (``None``
+when clean), and the overhead accumulators of its report.  A checkpoint is one
+history row (see :mod:`repro.core.history`) that the store also indexes, and a
+rollback (:meth:`RecoverySchemeRuntime.apply_rollback`) restores the rows a
+plan chose.
 """
 
 from __future__ import annotations
 
 import abc
 from heapq import heappush as _heappush
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.core.types import CheckpointKind, Interaction, ProcessId, RecoveryPoint
+from repro.core.history import (CP_CONTAMINATED, CP_ERROR_ORIGIN, CP_KIND,
+                                CP_TIME, CP_WORK)
+from repro.core.types import CheckpointKind, ProcessId
 from repro.faults.propagation import expand_cascade
-from repro.recovery.checkpoint import CheckpointStore, SavedState
+from repro.processes.program import RecoveryBlockExecutor
+from repro.recovery.checkpoint import CheckpointStore
 from repro.recovery.report import ProcessReport, RunReport
 from repro.sim.engine import SimulationEngine
 from repro.sim.monitor import Monitor
@@ -32,106 +41,11 @@ from repro.sim.random_streams import RandomStreams
 from repro.sim.tracer import Tracer
 from repro.workloads.spec import WorkloadSpec
 
-__all__ = ["ProcessRuntime", "RecoverySchemeRuntime"]
+__all__ = ["RecoverySchemeRuntime"]
 
-
-class ProcessRuntime:
-    """Mutable state of one simulated process."""
-
-    __slots__ = ("pid", "work_goal", "work_done", "running", "run_start", "done",
-                 "finish_time", "contaminated", "error_origin", "error_since",
-                 "checkpoint_overhead", "restart_overhead", "waiting_time",
-                 "lost_work", "rollbacks", "checkpoints", "pseudo_checkpoints",
-                 "ready_flag")
-
-    def __init__(self, pid: int, work_goal: float) -> None:
-        self.pid = pid
-        self.work_goal = float(work_goal)
-        self.work_done = 0.0
-        self.running = False
-        self.run_start = 0.0
-        self.done = False
-        self.finish_time: Optional[float] = None
-        self.contaminated = False
-        self.error_origin: Optional[int] = None
-        self.error_since: Optional[float] = None
-        self.checkpoint_overhead = 0.0
-        self.restart_overhead = 0.0
-        self.waiting_time = 0.0
-        self.lost_work = 0.0
-        self.rollbacks = 0
-        self.checkpoints = 0
-        self.pseudo_checkpoints = 0
-        self.ready_flag = False  # used by the synchronized scheme
-
-    # ------------------------------------------------------------------ work
-    def advance(self, now: float) -> None:
-        """Accrue useful work up to *now* (no-op unless running)."""
-        if self.running and not self.done:
-            delta = now - self.run_start
-            if delta > 0.0:
-                self.work_done += delta
-            self.run_start = now
-
-    def start_running(self, now: float) -> None:
-        if not self.done:
-            self.running = True
-            self.run_start = now
-
-    def stop_running(self, now: float) -> None:
-        # advance() inlined: one call per pause adds up across a sweep.
-        if self.running and not self.done:
-            delta = now - self.run_start
-            if delta > 0.0:
-                self.work_done += delta
-            self.run_start = now
-        self.running = False
-
-    def check_completion(self, now: float) -> bool:
-        """Clamp work at the goal; mark the process done when it is reached."""
-        if self.running and not self.done:  # inlined advance()
-            delta = now - self.run_start
-            if delta > 0.0:
-                self.work_done += delta
-            self.run_start = now
-        if not self.done and self.work_done >= self.work_goal - 1e-12:
-            excess = self.work_done - self.work_goal
-            self.work_done = self.work_goal
-            self.done = True
-            self.running = False
-            self.finish_time = now - excess
-            return True
-        return False
-
-    # ------------------------------------------------------------------ errors
-    def contaminate(self, now: float, origin: int) -> None:
-        if not self.contaminated:
-            self.contaminated = True
-            self.error_origin = origin
-            self.error_since = now
-
-    def clear_error(self) -> None:
-        self.contaminated = False
-        self.error_origin = None
-        self.error_since = None
-
-    @property
-    def has_local_error(self) -> bool:
-        return self.contaminated and self.error_origin == self.pid
-
-    @property
-    def has_external_error(self) -> bool:
-        return self.contaminated and self.error_origin != self.pid
-
-    def report(self) -> ProcessReport:
-        return ProcessReport(process=self.pid, finish_time=self.finish_time,
-                             useful_work=self.work_done, lost_work=self.lost_work,
-                             checkpoint_overhead=self.checkpoint_overhead,
-                             restart_overhead=self.restart_overhead,
-                             waiting_time=self.waiting_time,
-                             checkpoints_taken=self.checkpoints,
-                             pseudo_checkpoints_taken=self.pseudo_checkpoints,
-                             rollbacks=self.rollbacks)
+_REGULAR = CheckpointKind.REGULAR
+_PSEUDO = CheckpointKind.PSEUDO
+_INITIAL = CheckpointKind.INITIAL
 
 
 class RecoverySchemeRuntime(abc.ABC):
@@ -144,25 +58,37 @@ class RecoverySchemeRuntime(abc.ABC):
         self.workload = workload
         self.seed = seed
         self.params = workload.params
-        self.n = workload.params.n
+        self.n = n = workload.params.n
         self.engine = SimulationEngine()
         self.streams = RandomStreams(seed)
-        self.tracer = Tracer(self.n)
+        self.tracer = Tracer(n)
+        self.history = self.tracer.history
         self.monitor = Monitor()
-        self.store = CheckpointStore(self.n)
-        self.procs: List[ProcessRuntime] = [
-            ProcessRuntime(pid, workload.work_per_process) for pid in range(self.n)]
-        self.excluded_interactions: Set[Interaction] = set()
+        self.store = CheckpointStore(n)
+        # Per-process columns.
+        self._goal = float(workload.work_per_process)
+        self._work: List[float] = [0.0] * n
+        self._running: List[bool] = [False] * n
+        self._run_start: List[float] = [0.0] * n
+        self._done: List[bool] = [False] * n
+        self._finish: List[Optional[float]] = [None] * n
+        self._taint: List[Optional[ProcessId]] = [None] * n
+        self._checkpoint_overhead: List[float] = [0.0] * n
+        self._restart_overhead: List[float] = [0.0] * n
+        self._waiting: List[float] = [0.0] * n
+        self._lost: List[float] = [0.0] * n
+        self._rollbacks: List[int] = [0] * n
+        self._checkpoints: List[int] = [0] * n
+        self._pseudo_checkpoints: List[int] = [0] * n
         self.rollback_distances: List[float] = []
         self.domino_count = 0
         self.recovery_lines_committed = 0
         self._started = False
-        # Number of processes currently marked done.  Maintained at the three
-        # places the flag flips (check_completion via its callers, rollback
-        # revival in the coordinator) so the per-event completion checks are
-        # O(1) instead of a scan over the processes.
+        # Number of processes currently marked done.  Maintained where the
+        # flag flips (completion checks, rollback revival) so the per-event
+        # completion checks are O(1) instead of a scan over the processes.
         self._n_done = 0
-        self._storage_level = self.monitor.level("saved_states", initial=self.n)
+        self._storage_level = self.monitor.level("saved_states", initial=n)
         # Hot-path hoists: run invariants resolved once here instead of through
         # two attribute hops (plus an f-string build) per simulation event.
         self._max_sim_time = workload.max_sim_time
@@ -173,60 +99,70 @@ class RecoverySchemeRuntime(abc.ABC):
         self._interaction_counter = self.monitor.counter("interactions")
         self._acceptance_counter = self.monitor.counter("acceptance_tests")
         self._acceptance_failures = self.monitor.counter("acceptance_failures")
-        self._mu = [float(self.params.mu[pid]) for pid in range(self.n)]
-        self._block_names = [f"block.{pid}" for pid in range(self.n)]
-        self._fault_names = [f"fault.{pid}" for pid in range(self.n)]
-        self._acceptance_names = [f"acceptance.{pid}" for pid in range(self.n)]
-        # Streams are derived from their name alone (never from creation
-        # order), so materialising the acceptance generators up front is
-        # bit-identical to lazy lookup — and saves a dict probe per test.
-        self._acceptance_rngs = [self.streams.stream(name)
-                                 for name in self._acceptance_names]
+        # Every timer and coin reads its own named stream through a buffered
+        # variate iterator (``next()`` per draw).  Streams are derived from
+        # their name alone (never from creation order), so creating them up
+        # front is bit-identical to lazy lookup.
+        streams = self.streams
+        # Nominal (primary) duration of each process's recovery blocks.
+        self._nominal = [1.0 / float(mu) for mu in self.params.mu]
+        self._block_draws = [
+            streams.exponential_source(f"block.{pid}", float(self.params.mu[pid]))
+            for pid in range(n)]
+        self._acceptance_rngs = [streams.stream(f"acceptance.{pid}")
+                                 for pid in range(n)]
         self._acceptance = workload.acceptance
-        self._pair_specs = {
-            (i, j): (f"interaction.{i}.{j}", f"direction.{i}.{j}",
-                     self.params.pair_rate(i, j))
-            for i in range(self.n) for j in range(i + 1, self.n)}
-        # Fault interarrival law.  ``None`` keeps the exponential hot path
-        # below untouched (bit-identical to what the runtimes always did);
-        # otherwise the closure draws a renewal interarrival with mean
-        # ``1/error_rate`` from the same per-process ``fault.<pid>`` streams.
+        # Pairs that interact: (i, j, send-time draws, direction coin).
+        self._pairs = [
+            (i, j, streams.exponential_source(f"interaction.{i}.{j}",
+                                              self.params.pair_rate(i, j)),
+             streams.uniform_source(f"direction.{i}.{j}"))
+            for i in range(n) for j in range(i + 1, n)
+            if self.params.pair_rate(i, j) > 0.0]
+        # Fault interarrivals: exponential by default, else a renewal law with
+        # mean ``1/error_rate``, from the per-process ``fault.<pid>`` streams.
         faults = workload.faults
-        self._draw_fault_delay = None
-        if faults.interarrival_law != "exponential" and self._fault_rate > 0.0:
-            fault_shape = float(faults.interarrival_shape)
-            fault_mean = 1.0 / self._fault_rate
-            if faults.interarrival_law == "weibull":
+        self._fault_draws = []
+        if self._fault_rate > 0.0:
+            law = faults.interarrival_law
+            mean = 1.0 / self._fault_rate
+            if law != "exponential":
+                shape = float(faults.interarrival_shape)
+            if law == "weibull":
                 from scipy.special import gamma as _gamma_fn
-                fault_scale = fault_mean / float(_gamma_fn(1.0 + 1.0
-                                                           / fault_shape))
-                self._draw_fault_delay = lambda pid: self.streams.weibull(
-                    self._fault_names[pid], fault_shape, fault_scale)
-            else:
-                fault_log_mean = float(np.log(fault_mean)
-                                       - 0.5 * fault_shape * fault_shape)
-                self._draw_fault_delay = lambda pid: self.streams.lognormal(
-                    self._fault_names[pid], fault_log_mean, fault_shape)
+                scale = mean / float(_gamma_fn(1.0 + 1.0 / shape))
+            for pid in range(n):
+                name = f"fault.{pid}"
+                if law == "exponential":
+                    draws = streams.exponential_source(name, self._fault_rate)
+                elif law == "weibull":
+                    draws = streams.weibull_source(name, shape, scale)
+                else:
+                    draws = streams.lognormal_source(
+                        name, float(np.log(mean) - 0.5 * shape * shape), shape)
+                self._fault_draws.append(draws)
         # Correlated fault model (common-mode groups + cascades).  When the
         # workload has no common-mode block nothing is scheduled at all, so
         # plain runs draw exactly the same stream sequence as before.
         self._common_mode_groups = faults.common_mode_groups
-        self._common_mode_rate = float(faults.common_mode_rate)
         self._cascade_probability = float(faults.propagation_probability)
         self._cascade_depth = int(faults.cascade_depth)
-        self._common_mode_names = [f"common_mode.{g}"
-                                   for g in range(len(self._common_mode_groups))]
-        self._cascade_names = [f"cascade.{g}"
-                               for g in range(len(self._common_mode_groups))]
+        self._common_mode_draws = []
+        self._cascade_coins = []
+        if faults.has_common_mode:
+            for g in range(len(self._common_mode_groups)):
+                self._common_mode_draws.append(streams.exponential_source(
+                    f"common_mode.{g}", float(faults.common_mode_rate)))
+                self._cascade_coins.append(streams.uniform_source(f"cascade.{g}"))
         # Cascades travel along interaction edges: neighbours of ``i`` are the
         # processes it has a positive pairwise rate with, in process order.
         self._neighbor_lists = [
-            [j for j in range(self.n)
+            [j for j in range(n)
              if j != i and self.params.pair_rate(i, j) > 0.0]
-            for i in range(self.n)]
+            for i in range(n)]
         # Direct handles on the engine's queue and sequence counter (both are
         # created once and never reassigned): the recurring timer chains below
-        # push entries in SimulationEngine.schedule_fire's exact format without
+        # push entries in SimulationEngine.schedule's exact format without
         # paying its call frame on every one of the ~10^5 events per run.
         self._equeue = self.engine._queue
         self._eseq = self.engine._seq
@@ -239,116 +175,108 @@ class RecoverySchemeRuntime(abc.ABC):
         # engine.now is measurable across a replication sweep.
         return self.engine._now
 
-    def proc(self, pid: int) -> ProcessRuntime:
-        return self.procs[pid]
-
     def all_done(self) -> bool:
         # Hot path: called once per simulation event; the maintained counter
         # replaces a scan over the processes.
         return self._n_done >= self.n
 
-    def _rng(self, name: str) -> np.random.Generator:
-        return self.streams.stream(name)
+    # ------------------------------------------------------------------ process state
+    def _accrue(self, pid: int, now: float) -> None:
+        """Accrue useful work of *pid* up to *now* (no-op unless running)."""
+        if self._running[pid] and not self._done[pid]:
+            delta = now - self._run_start[pid]
+            if delta > 0.0:
+                self._work[pid] += delta
+            self._run_start[pid] = now
 
-    # ------------------------------------------------------------------ schedulers
-    def _schedule_block_boundary(self, pid: int) -> None:
-        delay = self.streams.exponential(self._block_names[pid], self._mu[pid])
-        self.engine.schedule_fire(delay, self._fire_block_boundary, pid)
+    def start_running(self, pid: int, now: float) -> None:
+        if not self._done[pid]:
+            self._running[pid] = True
+            self._run_start[pid] = now
 
+    def stop_running(self, pid: int, now: float) -> None:
+        self._accrue(pid, now)
+        self._running[pid] = False
+
+    def _check_completion(self, pid: int, now: float) -> bool:
+        """Clamp work at the goal; mark *pid* done when it is reached."""
+        if self._done[pid]:
+            return False
+        work = self._work
+        if self._running[pid]:  # inlined _accrue(): once per boundary event
+            delta = now - self._run_start[pid]
+            if delta > 0.0:
+                work[pid] += delta
+            self._run_start[pid] = now
+        if work[pid] >= self._goal - 1e-12:
+            excess = work[pid] - self._goal
+            work[pid] = self._goal
+            self._done[pid] = True
+            self._running[pid] = False
+            self._finish[pid] = now - excess
+            self._n_done += 1
+            return True
+        return False
+
+    def _contaminate(self, pid: int, origin: ProcessId) -> None:
+        if self._taint[pid] is None:
+            self._taint[pid] = origin
+
+    # ------------------------------------------------------------------ timers
     def _fire_block_boundary(self, pid: int) -> None:
-        engine = self.engine
-        now = engine._now
+        now = self.engine._now
         if now >= self._max_sim_time or self._n_done >= self.n:
             return
-        proc = self.procs[pid]
-        if not proc.done and proc.running:
-            if proc.check_completion(now):
-                self._n_done += 1
+        if not self._done[pid] and self._running[pid]:
+            if self._check_completion(pid, now):
                 self.on_process_completed(pid)
             else:
                 self.on_block_boundary(pid)
         # Whether or not the boundary was actionable, keep the timer chain
         # alive (exponential inter-boundary times are memoryless): a finished
         # process can be dragged back into the computation by a later rollback
-        # and must then resume reaching recovery-block boundaries.  The
-        # scheduler helper is inlined — this is the hottest event family.
+        # and must then resume reaching recovery-block boundaries.
         # (Handlers never advance the clock, so ``now`` is still engine time.)
         _heappush(self._equeue,
-                  (now + self.streams.exponential(self._block_names[pid],
-                                                  self._mu[pid]),
-                   next(self._eseq), None, self._fire_block_boundary, (pid,)))
+                  (now + next(self._block_draws[pid]), next(self._eseq),
+                   self._fire_block_boundary, (pid,)))
 
-    def _schedule_interaction(self, i: int, j: int) -> None:
-        name, _direction, rate = self._pair_specs[i, j]
-        if rate <= 0.0:
-            return
-        delay = self.streams.exponential(name, rate)
-        self.engine.schedule_fire(delay, self._fire_interaction, i, j)
-
-    def _fire_interaction(self, i: int, j: int) -> None:
-        engine = self.engine
-        now = engine._now
+    def _fire_interaction(self, i: int, j: int, delays, coin) -> None:
+        now = self.engine._now
         if now >= self._max_sim_time or self._n_done >= self.n:
             return
-        spec = self._pair_specs[i, j]  # (stream name, direction name, rate)
-        procs = self.procs
-        pi, pj = procs[i], procs[j]
-        if not (pi.done or pj.done) and pi.running and pj.running:
+        done, running = self._done, self._running
+        if not (done[i] or done[j]) and running[i] and running[j]:
             # Pick the message direction at random; the analytic model treats the
             # interaction symmetrically, the taint model cares about direction.
-            if self.streams.bernoulli(spec[1], 0.5):
-                source, target, psrc, pdst = i, j, pi, pj
+            if next(coin) < 0.5:
+                source, target = i, j
             else:
-                source, target, psrc, pdst = j, i, pj, pi
+                source, target = j, i
+            taint = self._taint[source]
             self.tracer.record_interaction(source, target, now,
-                                           receive_time=now
-                                           + self._message_latency,
-                                           tainted=psrc.contaminated)
+                                           now + self._message_latency,
+                                           tainted=taint is not None)
             self._interaction_counter._count += 1  # inlined Counter.increment()
-            if self._propagate_taint and psrc.contaminated:
-                origin = psrc.error_origin
-                pdst.contaminate(now, origin if origin is not None else source)
+            if self._propagate_taint and taint is not None \
+                    and self._taint[target] is None:
+                self._taint[target] = taint
             self.on_interaction(source, target)
-        # Inlined _schedule_interaction (a fired pair always has rate > 0).
-        _heappush(self._equeue,
-                  (now + self.streams.exponential(spec[0], spec[2]),
-                   next(self._eseq), None, self._fire_interaction, (i, j)))
-
-    def _schedule_fault(self, pid: int) -> None:
-        rate = self._fault_rate
-        if rate <= 0.0:
-            return
-        if self._draw_fault_delay is None:
-            delay = self.streams.exponential(self._fault_names[pid], rate)
-        else:
-            delay = self._draw_fault_delay(pid)
-        self.engine.schedule_fire(delay, self._fire_fault, pid)
+        _heappush(self._equeue, (now + next(delays), next(self._eseq),
+                                 self._fire_interaction, (i, j, delays, coin)))
 
     def _fire_fault(self, pid: int) -> None:
-        engine = self.engine
-        now = engine._now
+        now = self.engine._now
         if now >= self._max_sim_time or self._n_done >= self.n:
             return
-        proc = self.procs[pid]
-        if not proc.done and proc.running:
-            proc.contaminate(now, pid)
+        if not self._done[pid] and self._running[pid]:
+            self._contaminate(pid, pid)
             self.tracer.record_error(pid, now, local=True, origin=pid)
             self.monitor.counter("errors_injected").increment()
         # Always reschedule (even for finished processes) so a process revived by
-        # a rollback keeps experiencing faults (a fired stream has rate > 0).
-        if self._draw_fault_delay is None:
-            delay = self.streams.exponential(self._fault_names[pid],
-                                             self._fault_rate)
-        else:
-            delay = self._draw_fault_delay(pid)
-        _heappush(self._equeue,
-                  (now + delay, next(self._eseq), None, self._fire_fault,
-                   (pid,)))
-
-    def _schedule_common_mode(self, g: int) -> None:
-        delay = self.streams.exponential(self._common_mode_names[g],
-                                         self._common_mode_rate)
-        self.engine.schedule_fire(delay, self._fire_common_mode, g)
+        # a rollback keeps experiencing faults.
+        _heappush(self._equeue, (now + next(self._fault_draws[pid]),
+                                 next(self._eseq), self._fire_fault, (pid,)))
 
     def _fire_common_mode(self, g: int) -> None:
         """A common-mode event strikes group *g*, then may cascade outward.
@@ -360,108 +288,164 @@ class RecoverySchemeRuntime(abc.ABC):
         with ``propagation_probability`` drawn from the group's dedicated
         ``cascade.<g>`` stream, up to ``cascade_depth`` hops.
         """
-        engine = self.engine
-        now = engine._now
+        now = self.engine._now
         if now >= self._max_sim_time or self._n_done >= self.n:
             return
-        procs = self.procs
+        done, running = self._done, self._running
         seeds = [pid for pid in self._common_mode_groups[g]
-                 if not procs[pid].done and procs[pid].running]
+                 if not done[pid] and running[pid]]
         if seeds:
             if self._cascade_probability > 0.0 and self._cascade_depth > 0:
-                name = self._cascade_names[g]
+                coin = self._cascade_coins[g]
                 struck = expand_cascade(
                     seeds, self._neighbor_lists.__getitem__,
                     self._cascade_probability, self._cascade_depth,
-                    lambda p: self.streams.bernoulli(name, p))
+                    lambda p: next(coin) < p)
             else:
                 struck = seeds
             errors = self.monitor.counter("errors_injected")
             for pid in struck:
-                proc = procs[pid]
                 # Cascaded victims may be paused or already done; like the
                 # independent fault path, only a running process's state can
                 # actually absorb the error.
-                if not proc.done and proc.running:
-                    proc.contaminate(now, pid)
+                if not done[pid] and running[pid]:
+                    self._contaminate(pid, pid)
                     self.tracer.record_error(pid, now, local=True, origin=pid)
                     errors._count += 1  # inlined Counter.increment()
-        _heappush(self._equeue,
-                  (now + self.streams.exponential(self._common_mode_names[g],
-                                                  self._common_mode_rate),
-                   next(self._eseq), None, self._fire_common_mode, (g,)))
+        _heappush(self._equeue, (now + next(self._common_mode_draws[g]),
+                                 next(self._eseq), self._fire_common_mode, (g,)))
 
     # ------------------------------------------------------------------ pauses
-    def pause_for(self, pid: int, duration: float, *, reason: str) -> None:
+    def _pause(self, pid: int, duration: float, bucket: List[float]) -> None:
         """Suspend *pid* for *duration*; work does not accrue meanwhile.
 
-        ``reason`` is one of ``"checkpoint"``, ``"restart"`` or ``"waiting"`` and
-        decides which overhead bucket the time lands in.
+        The time is added to *bucket*, one of the per-process overhead
+        columns (checkpoint or restart).
         """
         now = self.engine._now
-        proc = self.procs[pid]
-        # Inlined stop_running()/advance(): one pause per checkpoint adds up.
-        if proc.running and not proc.done:
-            delta = now - proc.run_start
+        running = self._running
+        if running[pid] and not self._done[pid]:  # inlined _accrue()
+            delta = now - self._run_start[pid]
             if delta > 0.0:
-                proc.work_done += delta
-            proc.run_start = now
-        proc.running = False
-        if reason == "checkpoint":
-            proc.checkpoint_overhead += duration
-        elif reason == "restart":
-            proc.restart_overhead += duration
-        elif reason == "waiting":
-            proc.waiting_time += duration
-        else:
-            raise ValueError(f"unknown pause reason {reason!r}")
+                self._work[pid] += delta
+            self._run_start[pid] = now
+        running[pid] = False
+        bucket[pid] += duration
         if duration <= 0.0:
-            proc.start_running(now)
+            self.start_running(pid, now)
             return
-        _heappush(self._equeue, (now + duration, next(self._eseq), None,
+        _heappush(self._equeue, (now + duration, next(self._eseq),
                                  self._resume, (pid,)))
 
     def _resume(self, pid: int) -> None:
-        proc = self.procs[pid]
-        if not proc.done and not proc.running:  # inlined start_running()
-            proc.running = True
-            proc.run_start = self.engine._now
+        if not self._done[pid] and not self._running[pid]:
+            self._running[pid] = True
+            self._run_start[pid] = self.engine._now
 
     # ------------------------------------------------------------------ checkpoints
     def take_checkpoint(self, pid: int, *, kind: CheckpointKind = CheckpointKind.REGULAR,
-                        origin: Optional[Tuple[int, int]] = None,
-                        charge_time: bool = True) -> Tuple[RecoveryPoint, SavedState]:
-        """Record a checkpoint for *pid* at the current time.
+                        origin=None, charge_time: bool = True) -> tuple:
+        """Record a checkpoint for *pid* at the current time; returns its row.
 
         The process is paused for ``checkpoint_cost`` when *charge_time* is set;
-        the saved state captures the current work level and contamination flag.
+        the row saves the current work level and contamination.
         """
         now = self.engine._now
-        proc = self.procs[pid]
-        if proc.running and not proc.done:  # inlined ProcessRuntime.advance()
-            delta = now - proc.run_start
+        work = self._work
+        if self._running[pid] and not self._done[pid]:  # inlined _accrue()
+            delta = now - self._run_start[pid]
             if delta > 0.0:
-                proc.work_done += delta
-            proc.run_start = now
-        if kind is CheckpointKind.REGULAR:
-            rp = self.tracer.record_recovery_point(pid, now)
-            proc.checkpoints += 1
-        elif kind is CheckpointKind.PSEUDO:
+                work[pid] += delta
+            self._run_start[pid] = now
+        if kind is _REGULAR:
+            self._checkpoints[pid] += 1
+        elif kind is _PSEUDO:
             if origin is None:
                 raise ValueError("pseudo checkpoints need an origin")
-            rp = self.tracer.record_pseudo_recovery_point(pid, now, origin)
-            proc.pseudo_checkpoints += 1
+            self._pseudo_checkpoints[pid] += 1
         else:  # pragma: no cover - defensive
             raise ValueError("cannot take an INITIAL checkpoint explicitly")
-        state = self.store.save(rp, work_done=proc.work_done,
-                                contaminated=proc.contaminated,
-                                error_origin=proc.error_origin)
+        taint = self._taint[pid]
+        row = self.tracer.record_checkpoint(pid, now, kind, origin, work[pid],
+                                            taint is not None, taint)
+        store = self.store
+        store.add(pid, row)
         if charge_time and self._checkpoint_cost > 0.0:
-            self.pause_for(pid, self._checkpoint_cost, reason="checkpoint")
+            self._pause(pid, self._checkpoint_cost, self._checkpoint_overhead)
         # store._count is the maintained total behind CheckpointStore.count();
         # read directly to skip a method call per checkpoint.
-        self._storage_level.update(now, self.store._count)
-        return rp, state
+        self._storage_level.update(now, store._count)
+        return row
+
+    # ------------------------------------------------------------------ rollback
+    def apply_rollback(self, failed_pid: int, restart: Dict[ProcessId, tuple],
+                       invalidated: Iterable[int] = (),
+                       *, record_restart_checkpoints: bool = True) -> None:
+        """Restore every process in *restart* to its checkpoint row.
+
+        Useful work rolls back to the restored row's level, contamination is
+        reset to whatever the row saved, restart costs are charged, and the
+        *invalidated* interactions (column positions) are flagged dead so they
+        can never orphan anybody again.  With *record_restart_checkpoints* the
+        restored state is re-saved as a fresh regular checkpoint once the
+        restart completes, so later failures never propagate past this restart
+        (log truncation).
+        """
+        now = self.engine._now
+        store = self.store
+        max_distance = 0.0
+        lost_total = 0.0
+        domino = False
+
+        for pid, row in sorted(restart.items()):
+            self._accrue(pid, now)
+            if not store.retains(pid, row):
+                # The state was purged (can only happen to superseded pseudo
+                # recovery points); fall back to the latest retained regular
+                # state not newer than the requested one.
+                row = store.latest_regular_row(pid, before=row[CP_TIME])
+            lost = max(0.0, self._work[pid] - row[CP_WORK])
+            self._work[pid] = row[CP_WORK]
+            self._lost[pid] += lost
+            lost_total += lost
+            self._rollbacks[pid] += 1
+            # The restored state dictates the contamination status.
+            if row[CP_CONTAMINATED]:
+                origin = row[CP_ERROR_ORIGIN]
+                self._contaminate(pid, pid if origin is None else origin)
+            else:
+                self._taint[pid] = None
+            if self._done[pid]:
+                # A finished process dragged back into the computation.
+                self._done[pid] = False
+                self._finish[pid] = None
+                self._n_done -= 1
+            distance = now - restart[pid][CP_TIME]
+            max_distance = max(max_distance, distance)
+            domino = domino or restart[pid][CP_KIND] is _INITIAL
+            self.tracer.record_rollback(pid, now, restart[pid][CP_TIME],
+                                        cause=failed_pid)
+            self.monitor.tally("rollback_distance_per_process").observe(distance)
+            # Charge the restart and resume.
+            self._pause(pid, self.workload.restart_cost, self._restart_overhead)
+
+        self.history.kill_interactions(invalidated)
+        self.rollback_distances.append(max_distance)
+        if domino:
+            self.domino_count += 1
+        self.monitor.counter("rollback_events").increment()
+        self.monitor.tally("rollback_distance").observe(max_distance)
+        self.monitor.tally("rollback_lost_work").observe(lost_total)
+        self.monitor.tally("rollback_span").observe(float(len(restart)))
+
+        if record_restart_checkpoints:
+            delay = self.workload.restart_cost
+            for pid in restart:
+                self.engine.schedule(delay, self._record_restart_checkpoint, pid)
+
+    def _record_restart_checkpoint(self, pid: int) -> None:
+        if not self._done[pid]:
+            self.take_checkpoint(pid, kind=_REGULAR, charge_time=True)
 
     # ------------------------------------------------------------------ hooks
     @abc.abstractmethod
@@ -484,13 +468,13 @@ class RecoverySchemeRuntime(abc.ABC):
     # ------------------------------------------------------------------ detection
     def run_acceptance_test(self, pid: int) -> bool:
         """Run the acceptance test of *pid*; returns True when an error is flagged."""
-        proc = self.procs[pid]
+        taint = self._taint[pid]
         rng = self._acceptance_rngs[pid]
         acceptance = self._acceptance
         detected = acceptance.detects(
-            has_local_error=proc.has_local_error,
-            has_external_error=proc.has_external_error, rng=rng)
-        if not detected and not proc.contaminated:
+            has_local_error=taint is not None and taint == pid,
+            has_external_error=taint is not None and taint != pid, rng=rng)
+        if not detected and taint is None:
             detected = acceptance.false_alarm(rng)
         self.tracer.record_acceptance_test(pid, self.engine._now,
                                            passed=not detected)
@@ -499,24 +483,55 @@ class RecoverySchemeRuntime(abc.ABC):
             self._acceptance_failures._count += 1
         return detected
 
+    def _block_executors(self) -> List[RecoveryBlockExecutor]:
+        """One recovery-block executor per process, on ``alternates.<pid>``."""
+        return [RecoveryBlockExecutor(self.workload.block_spec,
+                                      self.streams.stream(f"alternates.{pid}"))
+                for pid in range(self.n)]
+
+    def _block_passes(self, pid: int) -> bool:
+        """Close the current recovery block of *pid* at its boundary.
+
+        Runs the acceptance test (with the external-detection nuance of
+        Section 2.1), then the block's alternates for algorithmic (not
+        state-contamination) failures, whose extra time is charged as a
+        restart pause.  On a detected error or exhausted alternates the
+        rollback runs and the result is False.  Needs ``self._executors``
+        (see :meth:`_block_executors`).
+        """
+        if self.run_acceptance_test(pid):
+            self.on_error_detected(pid)
+            return False
+        nominal = self._nominal[pid]
+        outcome = self._executors[pid].execute(nominal, state_contaminated=False)
+        if not outcome.passed:
+            # All alternates failed: treat as a detected local error.
+            self.monitor.counter("alternates_exhausted").increment()
+            self.on_error_detected(pid)
+            return False
+        extra = max(0.0, outcome.elapsed - nominal)
+        if extra > 0.0:
+            self._pause(pid, extra, self._restart_overhead)
+        return True
+
     # ------------------------------------------------------------------ run loop
     def run(self) -> RunReport:
         """Execute the workload under this scheme and return the report."""
         if self._started:
             raise RuntimeError("a runtime instance can only be run once")
         self._started = True
-        for proc in self.procs:
-            proc.start_running(0.0)
-        self.on_run_start()
         for pid in range(self.n):
-            self._schedule_block_boundary(pid)
-            self._schedule_fault(pid)
-        if self.workload.faults.has_common_mode:
-            for g in range(len(self._common_mode_groups)):
-                self._schedule_common_mode(g)
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                self._schedule_interaction(i, j)
+            self.start_running(pid, 0.0)
+        self.on_run_start()
+        schedule = self.engine.schedule
+        for pid in range(self.n):
+            schedule(next(self._block_draws[pid]), self._fire_block_boundary, pid)
+            if self._fault_draws:
+                schedule(next(self._fault_draws[pid]), self._fire_fault, pid)
+        for g, draws in enumerate(self._common_mode_draws):
+            schedule(next(draws), self._fire_common_mode, g)
+        for i, j, delays, coin in self._pairs:
+            schedule(next(delays), self._fire_interaction, i, j, delays, coin)
 
         n = self.n
 
@@ -525,18 +540,28 @@ class RecoverySchemeRuntime(abc.ABC):
 
         self.engine.run_while(keep_going, self._max_sim_time)
         # Final bookkeeping.
-        for proc in self.procs:
-            if proc.check_completion(self.now):
-                self._n_done += 1
+        for pid in range(n):
+            self._check_completion(pid, self.now)
         return self._build_report()
 
     # ------------------------------------------------------------------ reporting
     def _build_report(self) -> RunReport:
         completed = self.all_done()
-        makespan = max((p.finish_time for p in self.procs
-                        if p.finish_time is not None), default=self.now)
+        makespan = max((t for t in self._finish if t is not None),
+                       default=self.now)
         if not completed:
             makespan = self.now
+        processes = tuple(
+            ProcessReport(process=pid, finish_time=self._finish[pid],
+                          useful_work=self._work[pid],
+                          lost_work=self._lost[pid],
+                          checkpoint_overhead=self._checkpoint_overhead[pid],
+                          restart_overhead=self._restart_overhead[pid],
+                          waiting_time=self._waiting[pid],
+                          checkpoints_taken=self._checkpoints[pid],
+                          pseudo_checkpoints_taken=self._pseudo_checkpoints[pid],
+                          rollbacks=self._rollbacks[pid])
+            for pid in range(self.n))
         return RunReport(
             scheme=self.scheme_name,
             seed=self.seed,
@@ -544,13 +569,13 @@ class RecoverySchemeRuntime(abc.ABC):
             completed=completed,
             makespan=makespan,
             ideal_makespan=self.workload.ideal_completion_time(),
-            processes=tuple(p.report() for p in self.procs),
+            processes=processes,
             rollback_count=len(self.rollback_distances),
             rollback_distances=tuple(self.rollback_distances),
-            lost_work_total=sum(p.lost_work for p in self.procs),
-            checkpoint_overhead_total=sum(p.checkpoint_overhead for p in self.procs),
-            restart_overhead_total=sum(p.restart_overhead for p in self.procs),
-            waiting_time_total=sum(p.waiting_time for p in self.procs),
+            lost_work_total=sum(self._lost),
+            checkpoint_overhead_total=sum(self._checkpoint_overhead),
+            restart_overhead_total=sum(self._restart_overhead),
+            waiting_time_total=sum(self._waiting),
             recovery_lines_committed=self.recovery_lines_committed,
             domino_count=self.domino_count,
             peak_saved_states=self.store.peak_count,

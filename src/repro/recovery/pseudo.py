@@ -27,12 +27,12 @@ state save.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+import bisect
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.types import CheckpointKind, ProcessId, RecoveryPoint
-from repro.processes.program import RecoveryBlockExecutor
+from repro.core.history import CP_INDEX, CP_TIME
+from repro.core.types import CheckpointKind, ProcessId
 from repro.recovery.base import RecoverySchemeRuntime
-from repro.recovery.coordinator import RollbackCoordinator
 from repro.workloads.spec import WorkloadSpec
 
 __all__ = ["PseudoRecoveryPointRuntime"]
@@ -46,66 +46,48 @@ class PseudoRecoveryPointRuntime(RecoverySchemeRuntime):
     def __init__(self, workload: WorkloadSpec, seed: Optional[int] = None, *,
                  purge_storage: bool = True) -> None:
         super().__init__(workload, seed)
-        self.coordinator = RollbackCoordinator(self)
         self.purge_storage = bool(purge_storage)
-        self._executors = [RecoveryBlockExecutor(workload.block_spec,
-                                                 self._rng(f"alternates.{pid}"))
-                           for pid in range(self.n)]
+        self._executors = self._block_executors()
         self._implantation_overhead = 0.0
+        self._prp_counter = self.monitor.counter("prp_implanted")
 
     # ------------------------------------------------------------------ hooks
     def on_block_boundary(self, pid: int) -> None:
-        detected = self.run_acceptance_test(pid)
-        if detected:
-            self.on_error_detected(pid)
+        if not self._block_passes(pid):
             return
-        nominal = 1.0 / float(self.params.mu[pid])
-        outcome = self._executors[pid].execute(nominal, state_contaminated=False)
-        if not outcome.passed:
-            self.monitor.counter("alternates_exhausted").increment()
-            self.on_error_detected(pid)
-            return
-        extra = max(0.0, outcome.elapsed - nominal)
-        if extra > 0.0:
-            self.pause_for(pid, extra, reason="restart")
-        rp, _state = self.take_checkpoint(pid)
-        self._broadcast_implantation(pid, rp)
+        self._broadcast_implantation(pid, self.take_checkpoint(pid))
         if self.purge_storage:
             purged = self.store.purge_obsolete_pseudo_lines()
             if purged:
                 self._storage_level.update(self.now, self.store.count())
 
-    def _broadcast_implantation(self, origin_pid: int, rp: RecoveryPoint) -> None:
+    def _broadcast_implantation(self, origin_pid: int, row: tuple) -> None:
         """Steps 1–2 of the implantation algorithm."""
-        origin = (origin_pid, rp.index)
+        origin = (origin_pid, row[CP_INDEX])
         for other in range(self.n):
-            if other == origin_pid:
-                continue
-            proc = self.proc(other)
-            if proc.done:
+            if other == origin_pid or self._done[other]:
                 continue
             # "Upon the completion of the current instruction": effectively
             # immediately at the granularity of this simulation.
             self.take_checkpoint(other, kind=CheckpointKind.PSEUDO, origin=origin)
             self._implantation_overhead += self.workload.checkpoint_cost
-            self.monitor.counter("prp_implanted").increment()
+            self._prp_counter._count += 1  # inlined Counter.increment()
 
     def on_error_detected(self, pid: int) -> None:
         assignment, visited = self._plan_pseudo_rollback(pid, self.now)
         # Everything the affected processes did after their restart points is
         # discarded; invalidated interactions are those touching a rolled-back
-        # window (computed the same way the asynchronous coordinator does it, but
-        # against the pseudo assignment).
-        invalidated = self._invalidated_interactions(assignment)
-        self.coordinator.apply(pid, assignment, invalidated)
+        # window.
+        self.apply_rollback(pid, assignment,
+                            self._invalidated_interactions(assignment))
         self.monitor.tally("prp_rollback_scope").observe(float(len(visited)))
 
     # ------------------------------------------------------------------ planning
     def _plan_pseudo_rollback(self, failed_pid: int, failure_time: float
-                              ) -> Tuple[Dict[ProcessId, RecoveryPoint], Set[int]]:
+                              ) -> Tuple[Dict[ProcessId, tuple], Set[int]]:
         """The Section 4 rollback algorithm over the recorded history."""
-        history = self.tracer.history
-        assignment: Dict[ProcessId, RecoveryPoint] = {}
+        history = self.history
+        assignment: Dict[ProcessId, tuple] = {}
         visited: Set[int] = set()
         pending = [failed_pid]
 
@@ -115,78 +97,75 @@ class PseudoRecoveryPointRuntime(RecoverySchemeRuntime):
                 continue
             visited.add(p)
             # Step 2a: P_p rolls back to its previous (regular) recovery point.
-            rp_p = history.latest_checkpoint_before(
-                p, failure_time, usable_only=True, failed_process=p)
-            # ``usable_only`` admits regular RPs and initial states only here,
-            # because a PRP of the failed process itself offers no protection.
+            # A PRP of the failed process itself offers no protection, so only
+            # regular RPs and the initial state qualify here.
+            rp_p = history.latest_row(p, failure_time, failed_process=p)
             current = assignment.get(p)
-            if current is None or rp_p.time < current.time:
+            if current is None or rp_p[CP_TIME] < current[CP_TIME]:
                 assignment[p] = rp_p
             # Step 2b: processes affected by P_p's rollback restart at their PRPs
             # implanted for rp_p.
-            affected = self._affected_by(p, assignment[p].time, failure_time)
-            for j in affected:
-                target = self._pseudo_restart_point(j, assignment[p])
+            trigger = assignment[p]
+            for j in self._affected_by(p, trigger[CP_TIME], failure_time):
+                target = self._pseudo_restart_point(j, p, trigger)
                 current_j = assignment.get(j)
-                if current_j is None or target.time < current_j.time:
+                if current_j is None or target[CP_TIME] < current_j[CP_TIME]:
                     assignment[j] = target
                 # Step 3: if P_j has not rolled past its most recent RP, the
                 # propagation continues through it.
-                latest_rp_j = history.latest_checkpoint_before(
-                    j, failure_time, usable_only=True, failed_process=j)
-                if assignment[j].time > latest_rp_j.time and j not in visited:
+                latest_rp_j = history.latest_row(j, failure_time,
+                                                 failed_process=j)
+                if assignment[j][CP_TIME] > latest_rp_j[CP_TIME] \
+                        and j not in visited:
                     pending.append(j)
         return assignment, visited
 
     def _affected_by(self, p: int, restart_time: float,
                      failure_time: float) -> Set[int]:
         """Processes that interacted with *p* inside its discarded window."""
+        _send, _recv, src, dst, _dead = self.history.interaction_columns()
         affected: Set[int] = set()
-        for interaction in self.tracer.history.interactions_involving(
-                p, restart_time, failure_time):
-            if interaction in self.excluded_interactions:
-                continue
-            other = interaction.target if interaction.source == p else interaction.source
-            affected.add(other)
+        for k in self.history.involving(p, restart_time, failure_time,
+                                        live_only=True):
+            affected.add(dst[k] if src[k] == p else src[k])
         affected.discard(p)
         return affected
 
-    def _pseudo_restart_point(self, process: int,
-                              trigger_rp: RecoveryPoint) -> RecoveryPoint:
-        """The PRP implanted in *process* for *trigger_rp* (with fallbacks)."""
-        history = self.tracer.history
-        origin = (trigger_rp.process, trigger_rp.index)
-        for rp in history.checkpoints(process, kinds=(CheckpointKind.PSEUDO,)):
-            if rp.origin == origin:
-                return rp
+    def _pseudo_restart_point(self, process: int, trigger_process: int,
+                              trigger: tuple) -> tuple:
+        """The PRP implanted in *process* for *trigger* (with fallbacks)."""
+        row = self.history.pseudo_row(process,
+                                      (trigger_process, trigger[CP_INDEX]))
+        if row is not None:
+            return row
         # No PRP was implanted (e.g. the trigger is the initial state, or the
         # process had already finished): fall back to the latest verified
         # checkpoint not newer than the trigger.
-        return history.latest_checkpoint_before(process, trigger_rp.time,
-                                                usable_only=True,
-                                                failed_process=process)
+        return self.history.latest_row(process, trigger[CP_TIME],
+                                       failed_process=process)
 
-    def _invalidated_interactions(self, assignment: Dict[ProcessId, RecoveryPoint]):
+    def _invalidated_interactions(self, assignment: Dict[ProcessId, tuple]
+                                  ) -> List[int]:
         if not assignment:
             return []
         # An interaction only qualifies when its send time exceeds some restart
-        # point (hence the earliest one) and does not exceed "now" — window the
-        # time-sorted history instead of copying and scanning all of it.
-        earliest = min(rp.time for rp in assignment.values())
-        excluded = self.excluded_interactions
+        # point (hence the earliest one) and does not exceed "now".
+        earliest = min(row[CP_TIME] for row in assignment.values())
+        send, _recv, src, dst, dead = self.history.interaction_columns()
         invalidated = []
-        for interaction in self.tracer.history.interactions_window(earliest, self.now):
-            if interaction in excluded:
+        for k in range(bisect.bisect_right(send, earliest),
+                       bisect.bisect_right(send, self.now)):
+            if dead[k]:
                 continue
-            for pid, rp in assignment.items():
-                if interaction.involves(pid) and interaction.time > rp.time:
-                    invalidated.append(interaction)
+            for pid, row in assignment.items():
+                if (src[k] == pid or dst[k] == pid) and send[k] > row[CP_TIME]:
+                    invalidated.append(k)
                     break
         return invalidated
 
     # ------------------------------------------------------------------ reporting
     def extra_metrics(self) -> Dict[str, float]:
         return {
-            "prp_implanted": float(self.monitor.counter("prp_implanted").value),
+            "prp_implanted": float(self._prp_counter.value),
             "implantation_overhead": self._implantation_overhead,
         }

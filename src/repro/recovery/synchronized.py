@@ -24,12 +24,12 @@ the whole point of the scheme.
 
 from __future__ import annotations
 
+import bisect
 import enum
 from typing import Dict, Optional
 
-from repro.core.types import CheckpointKind, ProcessId, RecoveryPoint
+from repro.core.types import ProcessId
 from repro.recovery.base import RecoverySchemeRuntime
-from repro.recovery.coordinator import RollbackCoordinator
 from repro.workloads.spec import WorkloadSpec
 
 __all__ = ["SyncStrategy", "SynchronizedRuntime"]
@@ -57,23 +57,20 @@ class SynchronizedRuntime(RecoverySchemeRuntime):
             raise ValueError("sync_interval must be positive")
         if state_threshold < 1:
             raise ValueError("state_threshold must be at least 1")
-        self.coordinator = RollbackCoordinator(self)
         self.strategy = strategy
         self.sync_interval = float(sync_interval)
         self.state_threshold = int(state_threshold)
         self._sync_active = False
         self._request_time = 0.0
         self._ready: Dict[int, float] = {}          # pid -> y_i (time to readiness)
-        self._last_line: Dict[ProcessId, RecoveryPoint] = {}
+        self._last_line: Dict[ProcessId, tuple] = {}   # pid -> checkpoint row
         self._last_line_time = 0.0
         self._saves_since_line = 0
         self._sync_losses: list = []
 
     # ------------------------------------------------------------------ lifecycle
     def on_run_start(self) -> None:
-        history = self.tracer.history
-        self._last_line = {pid: history.checkpoints(pid,
-                                                    kinds=(CheckpointKind.INITIAL,))[0]
+        self._last_line = {pid: self.history.checkpoint_rows(pid)[0][0]
                            for pid in range(self.n)}
         if self.strategy is not SyncStrategy.STATE_COUNT:
             self.engine.schedule(self.sync_interval, self._issue_sync_request)
@@ -94,7 +91,7 @@ class SynchronizedRuntime(RecoverySchemeRuntime):
         self.monitor.counter("sync_requests").increment()
         for pid in range(self.n):
             self.tracer.record_sync_request(pid, self.now)
-            if self.proc(pid).done:
+            if self._done[pid]:
                 self._ready[pid] = 0.0
         if len(self._ready) == self.n:
             self._commit_line()
@@ -103,13 +100,12 @@ class SynchronizedRuntime(RecoverySchemeRuntime):
 
     # ------------------------------------------------------------------ hooks
     def on_block_boundary(self, pid: int) -> None:
-        proc = self.proc(pid)
         if self._sync_active and pid not in self._ready:
             # The process reached its acceptance test: it is ready and must wait
             # for the commitments of the others (step 3 of the paper's protocol).
             self._ready[pid] = self.now - self._request_time
             self.tracer.record_sync_commit(pid, self.now)
-            proc.stop_running(self.now)
+            self.stop_running(pid, self.now)
             if len(self._ready) == self.n:
                 self._commit_line()
             return
@@ -134,12 +130,11 @@ class SynchronizedRuntime(RecoverySchemeRuntime):
 
     def on_error_detected(self, pid: int) -> None:
         """Roll every process back to the previous committed recovery line."""
-        assignment = dict(self._last_line)
-        invalidated = [i for i in self.tracer.history.interactions
-                       if i.time > self._last_line_time
-                       and i not in self.excluded_interactions]
-        self.coordinator.apply(pid, assignment, invalidated,
-                               record_restart_checkpoints=False)
+        send, _recv, _src, _dst, dead = self.history.interaction_columns()
+        invalidated = [k for k in range(bisect.bisect_right(
+            send, self._last_line_time), len(send)) if not dead[k]]
+        self.apply_rollback(pid, dict(self._last_line), invalidated,
+                            record_restart_checkpoints=False)
         self.monitor.counter("line_rollbacks").increment()
 
     # ------------------------------------------------------------------ commit
@@ -149,22 +144,21 @@ class SynchronizedRuntime(RecoverySchemeRuntime):
                  for pid, y in self._ready.items()}
         total_wait = 0.0
         for pid, wait in waits.items():
-            proc = self.proc(pid)
-            if not proc.done:
-                proc.waiting_time += wait
+            if not self._done[pid]:
+                self._waiting[pid] += wait
                 total_wait += wait
         self._sync_losses.append(total_wait)
         self.monitor.tally("sync_loss_per_line").observe(total_wait)
 
         failures = []
         for pid in range(self.n):
-            if self.proc(pid).done:
+            if self._done[pid]:
                 continue
             if self.run_acceptance_test(pid):
                 failures.append(pid)
 
         if failures:
-            # The coordinator rolls every process back to the previous line and
+            # The rollback returns every process to the previous line and
             # handles the restart pauses/resumes itself.
             self._sync_active = False
             self.on_error_detected(failures[0])
@@ -172,13 +166,10 @@ class SynchronizedRuntime(RecoverySchemeRuntime):
                 self.engine.schedule(self.sync_interval, self._issue_sync_request)
             return
         else:
-            new_line: Dict[ProcessId, RecoveryPoint] = dict(self._last_line)
+            new_line = dict(self._last_line)
             for pid in range(self.n):
-                proc = self.proc(pid)
-                if proc.done:
-                    continue
-                rp, _state = self.take_checkpoint(pid)
-                new_line[pid] = rp
+                if not self._done[pid]:
+                    new_line[pid] = self.take_checkpoint(pid)
             self._last_line = new_line
             self._last_line_time = self.now
             self._saves_since_line = 0
@@ -192,9 +183,8 @@ class SynchronizedRuntime(RecoverySchemeRuntime):
         # Resume everyone and schedule the next request.
         self._sync_active = False
         for pid in range(self.n):
-            proc = self.proc(pid)
-            if not proc.done and not proc.running:
-                proc.start_running(self.now)
+            if not self._running[pid]:
+                self.start_running(pid, self.now)
         if self.strategy is SyncStrategy.ELAPSED_TIME:
             self.engine.schedule(self.sync_interval, self._issue_sync_request)
 

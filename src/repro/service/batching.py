@@ -22,6 +22,13 @@ from __future__ import annotations
 import asyncio
 from typing import Callable, Dict, List, Optional
 
+# The pool's workers fork from the service, so the worker-side modules of
+# every engine load here, once, instead of in each worker on its first batch:
+# the strategy engine (registered on first use) with its runtimes, and the
+# system builders behind SystemSpec.build.
+import repro.api.strategy  # noqa: F401
+import repro.recovery  # noqa: F401
+import repro.workloads.generators  # noqa: F401
 from repro.api.execute import BatchCell, ExecutedCell, execute_cells
 
 __all__ = ["AdmissionBatcher", "BatchCell", "ExecutedCell", "execute_cells"]

@@ -2,9 +2,9 @@
 
 The paper's authors evaluated their models with an in-house simulation whose code
 is not available; this package provides the replacement substrate: a deterministic,
-seedable discrete-event kernel with generator-based processes, named random
-streams and measurement utilities.  The recovery-block runtimes of
-:mod:`repro.recovery` are ordinary users of this kernel.
+seedable discrete-event kernel of scheduled callbacks, named random streams and
+measurement utilities.  The recovery-block runtimes of :mod:`repro.recovery` are
+ordinary users of this kernel.
 
 Design notes
 ------------
@@ -13,23 +13,15 @@ Design notes
   real-thread implementation in CPython would add GIL noise without adding fidelity.
 * Determinism: given a seed, every run is bit-for-bit reproducible; the event queue
   breaks ties by insertion order.
-* The generator protocol is a deliberately small subset of the SimPy idiom
-  (``yield Timeout(d)``, ``yield event``) so that the recovery runtimes stay
-  readable.
 """
 
-from repro.sim.engine import SimulationEngine, Timeout, SimEvent, ProcessExit
-from repro.sim.process import SimProcess
+from repro.sim.engine import SimulationEngine
 from repro.sim.random_streams import RandomStreams
 from repro.sim.monitor import Counter, TimeWeightedStat, Tally, Monitor
 from repro.sim.tracer import Tracer
 
 __all__ = [
     "SimulationEngine",
-    "Timeout",
-    "SimEvent",
-    "ProcessExit",
-    "SimProcess",
     "RandomStreams",
     "Counter",
     "TimeWeightedStat",

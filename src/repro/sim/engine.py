@@ -1,17 +1,10 @@
 """The discrete-event simulation kernel.
 
-A :class:`SimulationEngine` owns a virtual clock and a binary-heap event queue.
-Work is expressed either as plain callbacks (:meth:`SimulationEngine.schedule`) or
-as generator-based processes (:meth:`SimulationEngine.launch`) that ``yield``
-*waitables*:
-
-* :class:`Timeout` — resume after a virtual-time delay;
-* :class:`SimEvent` — resume when another party calls :meth:`SimEvent.succeed`
-  (or fail with :meth:`SimEvent.fail`);
-* another :class:`~repro.sim.process.SimProcess` — resume when it terminates.
-
-The kernel is single-threaded and deterministic: events at equal times fire in the
-order they were scheduled.
+A :class:`SimulationEngine` owns a virtual clock and a binary-heap event queue
+of plain callbacks (:meth:`SimulationEngine.schedule`).  The kernel is
+single-threaded and deterministic: events at equal times fire in the order
+they were scheduled (queue entries are ``(time, sequence, callback, args)``
+and the sequence number breaks every tie).
 """
 
 from __future__ import annotations
@@ -20,105 +13,7 @@ import heapq
 import itertools
 from typing import Any, Callable, List, Optional, Tuple
 
-__all__ = ["SimulationEngine", "Timeout", "SimEvent", "ProcessExit", "ScheduledCall"]
-
-
-class ProcessExit(Exception):
-    """Raised inside a process generator to terminate it early with a value."""
-
-    def __init__(self, value: Any = None) -> None:
-        super().__init__(value)
-        self.value = value
-
-
-class SimEvent:
-    """A one-shot triggerable event processes can wait on.
-
-    Waiters registered via :meth:`wait` are resumed (in registration order) when the
-    event is triggered.  Triggering twice is an error; waiting on an already
-    triggered event resumes immediately.
-    """
-
-    __slots__ = ("engine", "_callbacks", "_triggered", "_value", "_failed", "name")
-
-    def __init__(self, engine: "SimulationEngine", name: str = "") -> None:
-        self.engine = engine
-        self.name = name
-        self._callbacks: List[Callable[[Any, Optional[BaseException]], None]] = []
-        self._triggered = False
-        self._failed: Optional[BaseException] = None
-        self._value: Any = None
-
-    @property
-    def triggered(self) -> bool:
-        return self._triggered
-
-    @property
-    def value(self) -> Any:
-        return self._value
-
-    def succeed(self, value: Any = None) -> "SimEvent":
-        """Trigger the event successfully, resuming every waiter."""
-        if self._triggered:
-            raise RuntimeError(f"event {self.name or id(self)} already triggered")
-        self._triggered = True
-        self._value = value
-        for callback in self._callbacks:
-            self.engine.schedule(0.0, callback, value, None)
-        self._callbacks.clear()
-        return self
-
-    def fail(self, exception: BaseException) -> "SimEvent":
-        """Trigger the event as a failure; waiters receive the exception."""
-        if self._triggered:
-            raise RuntimeError(f"event {self.name or id(self)} already triggered")
-        self._triggered = True
-        self._failed = exception
-        for callback in self._callbacks:
-            self.engine.schedule(0.0, callback, None, exception)
-        self._callbacks.clear()
-        return self
-
-    def wait(self, callback: Callable[[Any, Optional[BaseException]], None]) -> None:
-        """Register *callback(value, exception)*; called when the event triggers."""
-        if self._triggered:
-            self.engine.schedule(0.0, callback, self._value, self._failed)
-        else:
-            self._callbacks.append(callback)
-
-    # The waitable protocol used by SimProcess.
-    def _subscribe(self, callback: Callable[[Any, Optional[BaseException]], None]) -> None:
-        self.wait(callback)
-
-
-class Timeout:
-    """Waitable that fires after a fixed virtual-time delay."""
-
-    __slots__ = ("delay", "value")
-
-    def __init__(self, delay: float, value: Any = None) -> None:
-        if delay < 0.0:
-            raise ValueError("timeout delay must be non-negative")
-        self.delay = float(delay)
-        self.value = value
-
-    def _subscribe(self, callback, *, engine: "SimulationEngine") -> "ScheduledCall":
-        return engine.schedule(self.delay, callback, self.value, None)
-
-
-class ScheduledCall:
-    """Handle returned by :meth:`SimulationEngine.schedule`; supports cancellation."""
-
-    __slots__ = ("time", "seq", "cancelled")
-
-    def __init__(self, time: float, seq: int) -> None:
-        self.time = time
-        self.seq = seq
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Prevent the callback from running (no-op if it already ran)."""
-        self.cancelled = True
+__all__ = ["SimulationEngine"]
 
 
 class SimulationEngine:
@@ -132,7 +27,7 @@ class SimulationEngine:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._queue: List[Tuple[float, int, ScheduledCall, Callable, tuple]] = []
+        self._queue: List[Tuple[float, int, Callable, tuple]] = []
         self._seq = itertools.count()
         self._processed = 0
         self._running = False
@@ -150,71 +45,36 @@ class SimulationEngine:
 
     @property
     def pending_events(self) -> int:
-        """Number of live events still queued.
-
-        Cancelled entries stay in the heap until popped (cancellation only flags
-        the handle), so they are filtered out here rather than counted.
-        """
-        return sum(1 for _time, _seq, handle, _cb, _args in self._queue
-                   if handle is None or not handle.cancelled)
+        """Number of events still queued."""
+        return len(self._queue)
 
     # ------------------------------------------------------------------ scheduling
-    def schedule(self, delay: float, callback: Callable, *args: Any) -> ScheduledCall:
+    def schedule(self, delay: float, callback: Callable, *args: Any) -> None:
         """Run ``callback(*args)`` after *delay* units of virtual time."""
         if delay < 0.0:
             raise ValueError("cannot schedule into the past")
-        # Inlined schedule_at: a non-negative delay can never land in the past,
-        # and this is the hottest allocation site of the kernel.
-        handle = ScheduledCall(self._now + delay, next(self._seq))
-        heapq.heappush(self._queue, (handle.time, handle.seq, handle, callback, args))
-        return handle
-
-    def schedule_fire(self, delay: float, callback: Callable, *args: Any) -> None:
-        """Like :meth:`schedule`, but fire-and-forget: no cancellation handle.
-
-        The recurring timer chains of the recovery runtimes never cancel their
-        events, and the :class:`ScheduledCall` allocation is pure overhead at
-        tens of thousands of events per run — queue entries carry ``None`` in
-        the handle slot instead.
-        """
-        if delay < 0.0:
-            raise ValueError("cannot schedule into the past")
         heapq.heappush(self._queue,
-                       (self._now + delay, next(self._seq), None, callback, args))
+                       (self._now + delay, next(self._seq), callback, args))
 
-    def schedule_at(self, time: float, callback: Callable, *args: Any) -> ScheduledCall:
+    def schedule_at(self, time: float, callback: Callable, *args: Any) -> None:
         """Run ``callback(*args)`` at absolute virtual time *time*."""
         if time < self._now - 1e-12:
             raise ValueError(f"cannot schedule at {time} < now ({self._now})")
-        handle = ScheduledCall(time, next(self._seq))
-        heapq.heappush(self._queue, (time, handle.seq, handle, callback, args))
-        return handle
-
-    def event(self, name: str = "") -> SimEvent:
-        """Create a fresh :class:`SimEvent` bound to this engine."""
-        return SimEvent(self, name=name)
-
-    def launch(self, generator, name: str = ""):
-        """Start a generator-based process; returns the :class:`SimProcess`."""
-        from repro.sim.process import SimProcess
-
-        return SimProcess(self, generator, name=name)
+        heapq.heappush(self._queue, (time, next(self._seq), callback, args))
 
     # ------------------------------------------------------------------ running
     def step(self) -> bool:
         """Execute the next event; returns False when the queue is empty."""
-        while self._queue:
-            time, _seq, handle, callback, args = heapq.heappop(self._queue)
-            if handle is not None and handle.cancelled:
-                continue
-            if time < self._now - 1e-12:  # pragma: no cover - defensive
-                raise RuntimeError("event queue produced a time in the past")
-            if time > self._now:
-                self._now = time
-            self._processed += 1
-            callback(*args)
-            return True
-        return False
+        if not self._queue:
+            return False
+        time, _seq, callback, args = heapq.heappop(self._queue)
+        if time < self._now - 1e-12:  # pragma: no cover - defensive
+            raise RuntimeError("event queue produced a time in the past")
+        if time > self._now:
+            self._now = time
+        self._processed += 1
+        callback(*args)
+        return True
 
     def run_while(self, keep_going: Callable[[], bool], until: float) -> None:
         """Step until the queue drains, the clock reaches *until*, or
@@ -225,9 +85,7 @@ class SimulationEngine:
         queue = self._queue
         pop = heapq.heappop
         while queue and self._now < until and keep_going():
-            time, _seq, handle, callback, args = pop(queue)
-            if handle is not None and handle.cancelled:
-                continue
+            time, _seq, callback, args = pop(queue)
             if time > self._now:
                 self._now = time
             self._processed += 1
@@ -245,11 +103,9 @@ class SimulationEngine:
         executed = 0
         try:
             while self._queue:
-                next_time = self._peek_time()
-                if until is not None and next_time is not None and next_time > until:
+                if until is not None and self._queue[0][0] > until:
                     break
-                if not self.step():
-                    break
+                self.step()
                 executed += 1
                 if max_events is not None and executed >= max_events:
                     break
@@ -258,15 +114,6 @@ class SimulationEngine:
         if until is not None and self._now < until:
             self._now = float(until)
         return self._now
-
-    def _peek_time(self) -> Optional[float]:
-        while self._queue:
-            time, _seq, handle, _cb, _args = self._queue[0]
-            if handle is not None and handle.cancelled:
-                heapq.heappop(self._queue)
-                continue
-            return time
-        return None
 
     def drain(self) -> float:
         """Run until no events remain; returns the final clock value."""

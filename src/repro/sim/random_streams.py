@@ -10,7 +10,7 @@ hygiene for discrete-event simulation studies.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,7 +19,7 @@ __all__ = ["RandomStreams"]
 #: Variates pre-drawn per named stream by the buffered helpers below.  A
 #: vectorised ``Generator.exponential(scale, size=k)`` (or ``random(size=k)``)
 #: consumes the underlying bitstream exactly like ``k`` successive scalar
-#: draws and returns the same values, so serving calls from a buffer changes
+#: draws and returns the same values, so serving draws from a buffer changes
 #: no results — it only removes the per-call numpy dispatch overhead.  Any
 #: bitstream over-consumed at the end of a run is harmless because every
 #: named stream is independent and is never read by anything else.
@@ -35,6 +35,14 @@ def _stable_digest(name: str) -> int:
     return zlib.crc32(name.encode("utf-8")) & 0xFFFFFFFF
 
 
+def _buffered(rng: np.random.Generator, sampler) -> Iterator[float]:
+    """Endless variates of *rng*, drawn :data:`_BUFFER_SIZE` at a time."""
+    while True:
+        # tolist() converts the float64 block to Python floats exactly (same
+        # bits); the iterator then serves them without numpy scalar boxing.
+        yield from sampler(rng, _BUFFER_SIZE).tolist()
+
+
 class RandomStreams:
     """A family of named, independent random generators derived from one seed."""
 
@@ -42,11 +50,8 @@ class RandomStreams:
         self._seed_seq = np.random.SeedSequence(seed)
         self._root = np.random.default_rng(self._seed_seq)
         self._streams: Dict[str, np.random.Generator] = {}
-        # name -> [scale, values, next position] / [values, next position] /
-        # [(param, param), values, next position].
-        self._exp_buffers: Dict[str, List] = {}
-        self._uniform_buffers: Dict[str, List] = {}
-        self._law_buffers: Dict[str, List] = {}
+        # (name, law) -> (pinned law parameters, buffered variate iterator).
+        self._sources: Dict[Tuple[str, str], Tuple[tuple, Iterator[float]]] = {}
 
     @property
     def root(self) -> np.random.Generator:
@@ -71,81 +76,71 @@ class RandomStreams:
         return self._streams[name]
 
     # ------------------------------------------------------------------ helpers
-    def exponential(self, name: str, rate: float) -> float:
-        """One exponential variate with the given *rate* from the named stream.
+    def source(self, name: str, law: str, params: tuple,
+               sampler: Callable[[np.random.Generator, int], np.ndarray]
+               ) -> Iterator[float]:
+        """The buffered iterator of one law's variates from the named stream.
 
-        Draws are served from a pre-sampled buffer (see :data:`_BUFFER_SIZE`),
-        which requires the rate of a named stream to stay constant — the
-        schedulers all use one name per (process/pair, rate) source, so this
-        holds by construction.  A changed rate raises rather than silently
-        returning variates drawn at the old scale.
+        ``next()`` on it serves one variate.  The law's parameters are pinned
+        at first use, and asking again with different ones raises rather than
+        silently serving variates drawn under the old parameters.  Each
+        (name, law) pair has its own buffer; buffers of one name refill from
+        its generator in the order they run dry.
         """
+        entry = self._sources.get((name, law))
+        if entry is None:
+            entry = (params, _buffered(self.stream(name), sampler))
+            self._sources[name, law] = entry
+        elif entry[0] != params:
+            raise ValueError(
+                f"stream {name!r} was buffered with {law} parameters "
+                f"{entry[0]}, got {params}; buffered streams need constant "
+                "parameters per name — use one stream name per source")
+        return entry[1]
+
+    def exponential_source(self, name: str, rate: float) -> Iterator[float]:
+        """Buffered exponential variates with the given *rate* (see :meth:`source`)."""
         if rate <= 0.0:
             raise ValueError("rate must be positive")
         scale = 1.0 / rate
-        buf = self._exp_buffers.get(name)
-        if buf is None:
-            # tolist() converts the float64 block to Python floats exactly
-            # (same bits); per-draw indexing then skips numpy scalar boxing.
-            buf = [scale,
-                   self.stream(name).exponential(scale, _BUFFER_SIZE).tolist(), 0]
-            self._exp_buffers[name] = buf
-        elif buf[0] != scale:
-            raise ValueError(
-                f"stream {name!r} was buffered at rate {1.0 / buf[0]}, got "
-                f"{rate}; buffered exponential streams need a constant rate "
-                "per name — use one stream name per rate source")
-        elif buf[2] >= _BUFFER_SIZE:
-            buf[1] = self.stream(name).exponential(scale, _BUFFER_SIZE).tolist()
-            buf[2] = 0
-        value = buf[1][buf[2]]
-        buf[2] += 1
-        return value
+        return self.source(name, "exponential", (scale,),
+                           lambda rng, k: rng.exponential(scale, k))
 
-    def _law_variate(self, name: str, params, sampler) -> float:
-        """Serve one variate of a pinned-parameter law from a named buffer.
+    def exponential(self, name: str, rate: float) -> float:
+        """One exponential variate with the given *rate* from the named stream."""
+        return next(self.exponential_source(name, rate))
 
-        Shared machinery of :meth:`weibull` and :meth:`lognormal`: like
-        :meth:`exponential`, the distribution parameters of a named stream are
-        pinned at first use and a change raises instead of silently serving
-        variates drawn under the old parameters.
-        """
-        buf = self._law_buffers.get(name)
-        if buf is None:
-            buf = [params, sampler(self.stream(name), _BUFFER_SIZE).tolist(), 0]
-            self._law_buffers[name] = buf
-        elif buf[0] != params:
-            raise ValueError(
-                f"stream {name!r} was buffered with parameters {buf[0]}, got "
-                f"{params}; buffered law streams need constant parameters per "
-                "name — use one stream name per source")
-        elif buf[2] >= _BUFFER_SIZE:
-            buf[1] = sampler(self.stream(name), _BUFFER_SIZE).tolist()
-            buf[2] = 0
-        value = buf[1][buf[2]]
-        buf[2] += 1
-        return value
+    def uniform_source(self, name: str) -> Iterator[float]:
+        """Buffered U[0, 1) variates of the named stream (see :meth:`source`)."""
+        return self.source(name, "uniform", (), lambda rng, k: rng.random(k))
 
-    def weibull(self, name: str, shape: float, scale: float) -> float:
-        """One Weibull(*shape*, *scale*) variate from the named stream.
+    def weibull_source(self, name: str, shape: float,
+                       scale: float) -> Iterator[float]:
+        """Buffered Weibull(*shape*, *scale*) variates (see :meth:`source`).
 
-        Buffered like :meth:`exponential`; the variate is
-        ``scale · Generator.weibull(shape)``, identical bit-for-bit to the
-        scalar numpy draw sequence.
+        Each variate is ``scale · Generator.weibull(shape)``, identical bit
+        for bit to the scalar numpy draw sequence.
         """
         if shape <= 0.0 or scale <= 0.0:
             raise ValueError("shape and scale must be positive")
-        return self._law_variate(
-            name, ("weibull", float(shape), float(scale)),
-            lambda rng, k: rng.weibull(shape, k) * scale)
+        return self.source(name, "weibull", (float(shape), float(scale)),
+                           lambda rng, k: rng.weibull(shape, k) * scale)
+
+    def weibull(self, name: str, shape: float, scale: float) -> float:
+        """One Weibull(*shape*, *scale*) variate from the named stream."""
+        return next(self.weibull_source(name, shape, scale))
+
+    def lognormal_source(self, name: str, mu: float,
+                         sigma: float) -> Iterator[float]:
+        """Buffered lognormal variates (log-mean *mu*, log-sd *sigma*)."""
+        if sigma <= 0.0:
+            raise ValueError("sigma must be positive")
+        return self.source(name, "lognormal", (float(mu), float(sigma)),
+                           lambda rng, k: rng.lognormal(mu, sigma, k))
 
     def lognormal(self, name: str, mu: float, sigma: float) -> float:
         """One lognormal variate (log-mean *mu*, log-sd *sigma*), buffered."""
-        if sigma <= 0.0:
-            raise ValueError("sigma must be positive")
-        return self._law_variate(
-            name, ("lognormal", float(mu), float(sigma)),
-            lambda rng, k: rng.lognormal(mu, sigma, k))
+        return next(self.lognormal_source(name, mu, sigma))
 
     def uniform(self, name: str, low: float = 0.0, high: float = 1.0) -> float:
         return float(self.stream(name).uniform(low, high))
@@ -156,17 +151,11 @@ class RandomStreams:
         return options[idx]
 
     def bernoulli(self, name: str, probability: float) -> bool:
-        # Buffered like the exponential helper; the uniforms do not depend on
-        # the probability, so it is free to vary between calls.
+        # The buffered uniforms do not depend on the probability, so it is
+        # free to vary between calls.
         if not (0.0 <= probability <= 1.0):
             raise ValueError("probability must be in [0, 1]")
-        buf = self._uniform_buffers.get(name)
-        if buf is None or buf[1] >= _BUFFER_SIZE:
-            buf = [self.stream(name).random(_BUFFER_SIZE).tolist(), 0]
-            self._uniform_buffers[name] = buf
-        value = buf[0][buf[1]]
-        buf[1] += 1
-        return value < probability
+        return next(self.uniform_source(name)) < probability
 
     def spawn(self, name: str) -> "RandomStreams":
         """Create an independent sub-family (e.g. one per replication)."""
@@ -176,7 +165,5 @@ class RandomStreams:
                                                  spawn_key=(digest, 1))
         child._root = np.random.default_rng(child._seed_seq)
         child._streams = {}
-        child._exp_buffers = {}
-        child._uniform_buffers = {}
-        child._law_buffers = {}
+        child._sources = {}
         return child

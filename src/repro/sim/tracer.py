@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.core.events import EventLog
-from repro.core.history import HistoryDiagram
+from repro.core.history import CP_INDEX, HistoryDiagram
 from repro.core.types import CheckpointKind, EventKind, ProcessId, RecoveryPoint
 
 __all__ = ["Tracer"]
@@ -75,27 +75,37 @@ class Tracer:
             self._pending.append((time, kind, process, data))
 
     # ------------------------------------------------------------------ checkpoints
+    def record_checkpoint(self, process: ProcessId, time: float,
+                          kind: CheckpointKind, origin=None,
+                          work_done: float = 0.0, contaminated: bool = False,
+                          error_origin: Optional[ProcessId] = None) -> tuple:
+        """Record a checkpoint and its saved state; returns the history row.
+
+        The runtimes' entry point: one row carries the history entry and the
+        saved state (see :mod:`repro.core.history`).
+        """
+        row = self.history.append_checkpoint(process, time, kind, origin,
+                                             work_done, contaminated,
+                                             error_origin)
+        if not self._log_disabled:
+            if kind is CheckpointKind.PSEUDO:
+                self._record(time, EventKind.PSEUDO_RECOVERY_POINT, process,
+                             index=row[CP_INDEX], origin=origin)
+            else:
+                self._record(time, EventKind.RECOVERY_POINT, process,
+                             index=row[CP_INDEX])
+        return row
+
     def record_recovery_point(self, process: ProcessId, time: float) -> RecoveryPoint:
         """Record a regular recovery point (post-acceptance-test state save)."""
-        rp = self.history.add_recovery_point(process, time,
-                                             kind=CheckpointKind.REGULAR)
-        # The guard is repeated at the hot call sites (here and below) rather
-        # than only inside _record so a disabled tracer skips the kwargs-dict
-        # build as well as the call.
-        if not self._log_disabled:
-            self._record(time, EventKind.RECOVERY_POINT, process, index=rp.index)
-        return rp
+        return self.history.point(process, self.record_checkpoint(
+            process, time, CheckpointKind.REGULAR))
 
     def record_pseudo_recovery_point(self, process: ProcessId, time: float,
                                      origin: Tuple[ProcessId, int]) -> RecoveryPoint:
         """Record a pseudo recovery point implanted on behalf of *origin*."""
-        rp = self.history.add_recovery_point(process, time,
-                                             kind=CheckpointKind.PSEUDO,
-                                             origin=origin)
-        if not self._log_disabled:
-            self._record(time, EventKind.PSEUDO_RECOVERY_POINT, process,
-                         index=rp.index, origin=origin)
-        return rp
+        return self.history.point(process, self.record_checkpoint(
+            process, time, CheckpointKind.PSEUDO, tuple(origin)))
 
     # ------------------------------------------------------------------ messages
     def record_interaction(self, source: ProcessId, target: ProcessId,
@@ -103,8 +113,7 @@ class Tracer:
                            *, tainted: bool = False) -> None:
         """Record a delivered message between two processes."""
         receive_time = send_time if receive_time is None else receive_time
-        self.history.add_interaction(source, target, send_time,
-                                     receive_time=receive_time)
+        self.history.append_interaction(source, target, send_time, receive_time)
         if not self._log_disabled:
             self._record(receive_time, EventKind.INTERACTION, source, peer=target,
                          initiator=True, receive_time=receive_time, tainted=tainted)

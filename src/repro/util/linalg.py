@@ -14,6 +14,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
+from repro.util.blas import pin_blas_threads
+
 __all__ = [
     "is_generator_matrix",
     "uniformization_rate",
@@ -111,6 +113,7 @@ def solve_linear(A: Union[np.ndarray, sparse.spmatrix],
             # below (which warns with the condition context).
             A = A.toarray()
     A = np.asarray(A, dtype=float)
+    pin_blas_threads()
     try:
         return np.linalg.solve(A, b)
     except np.linalg.LinAlgError:
@@ -139,6 +142,7 @@ def fundamental_matrix(P_transient: np.ndarray) -> np.ndarray:
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValueError("transient block must be square")
     identity = np.eye(T.shape[0])
+    pin_blas_threads()
     return np.linalg.solve(identity - T, identity)
 
 

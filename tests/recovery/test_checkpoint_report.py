@@ -23,7 +23,7 @@ class TestCheckpointStore:
         store = CheckpointStore(2)
         rp = _rp(0, 1, 2.0)
         saved = store.save(rp, work_done=1.5, contaminated=False)
-        assert store.lookup(rp) is saved
+        assert store.lookup(rp) == saved
         assert saved.work_done == 1.5
 
     def test_lookup_missing_raises(self):

@@ -1,0 +1,121 @@
+"""The runtimes on flat columns: no per-event objects, an O(n) Section 4 purge.
+
+* A run builds no :class:`RecoveryPoint`, :class:`Interaction` or
+  :class:`SavedState`: checkpoints are history rows the store also indexes,
+  and those value objects exist only for readers.
+* :meth:`CheckpointStore.purge_obsolete_pseudo_lines` visits only what
+  changed since the previous purge; it must discard exactly what the
+  Section 4 rule applied to every retained state would.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.core.types import CheckpointKind, Interaction, RecoveryPoint
+from repro.recovery.asynchronous import AsynchronousRuntime
+from repro.recovery.checkpoint import CheckpointStore, SavedState
+from repro.recovery.pseudo import PseudoRecoveryPointRuntime
+from repro.recovery.synchronized import SynchronizedRuntime
+
+REGULAR, PSEUDO, INITIAL = (CheckpointKind.REGULAR, CheckpointKind.PSEUDO,
+                            CheckpointKind.INITIAL)
+
+
+@pytest.mark.parametrize("factory", [
+    lambda wl: AsynchronousRuntime(wl, seed=11),
+    lambda wl: PseudoRecoveryPointRuntime(wl, seed=4),
+    lambda wl: SynchronizedRuntime(wl, seed=3, sync_interval=2.0),
+], ids=["asynchronous", "pseudo", "synchronized"])
+def test_run_loop_builds_no_value_objects(monkeypatch, small_workload, factory):
+    built = []
+    for cls in (RecoveryPoint, Interaction, SavedState):
+        original = cls.__init__
+
+        def counting(self, *args, _original=original, _name=cls.__name__,
+                     **kwargs):
+            built.append(_name)
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    runtime = factory(small_workload)
+    runtime.tracer.disable_log()
+    report = runtime.run()
+    assert report.rollback_count > 0       # the rollback paths ran too
+    assert built == []
+    # Readers still get the objects, built from the columns on demand.
+    assert runtime.tracer.history.interactions
+    assert "Interaction" in built
+
+
+def _rule(states):
+    """The Section 4 rule applied to every retained state: surviving keys.
+
+    *states* maps ``(process, index)`` to ``(time, kind, origin)``.  Each
+    process keeps its latest non-pseudo state; a PRP survives while its
+    triggering RP is its owner's latest; the initial states never go.
+    """
+    latest = {}
+    for (pid, index), (time, kind, _origin) in states.items():
+        if kind is not PSEUDO and (pid not in latest
+                                   or time > states[pid, latest[pid]][0]):
+            latest[pid] = index
+    live = {(pid, index) for pid, index in latest.items()
+            if states[pid, index][1] is REGULAR}
+    return {key for key, (_time, kind, origin) in states.items()
+            if kind is INITIAL or latest[key[0]] == key[1]
+            or (kind is PSEUDO and origin in live)}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_incremental_purge_matches_the_full_rule(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    store = CheckpointStore(n)
+    shadow = {(pid, 0): (0.0, INITIAL, None) for pid in range(n)}
+    counters = [1] * n
+    time = 0.0
+    for _ in range(300):
+        time += rng.random()
+        action = rng.random()
+        pid = rng.randrange(n)
+        if action < 0.45:
+            index = counters[pid]
+            counters[pid] += 1
+            rp = RecoveryPoint(time=time, process=pid, index=index)
+            store.save(rp, work_done=time)
+            shadow[pid, index] = (time, REGULAR, None)
+            # A broadcast of PRPs for this RP to some of the others.
+            for other in range(n):
+                if other != pid and rng.random() < 0.8:
+                    pindex = counters[other]
+                    counters[other] += 1
+                    prp = RecoveryPoint(time=time, process=other,
+                                        index=pindex, kind=PSEUDO,
+                                        origin=(pid, index))
+                    store.save(prp, work_done=time)
+                    shadow[other, pindex] = (time, PSEUDO, (pid, index))
+        elif action < 0.85:
+            expected = _rule(shadow)
+            purged = store.purge_obsolete_pseudo_lines()
+            assert purged == len(shadow) - len(expected)
+            shadow = {key: shadow[key] for key in expected}
+        elif action < 0.95:
+            # A PRP whose trigger is long gone (or never existed).
+            pindex = counters[pid]
+            counters[pid] += 1
+            origin = ((pid + 1) % n, rng.randrange(counters[(pid + 1) % n]))
+            store.save(RecoveryPoint(time=time, process=pid, index=pindex,
+                                     kind=PSEUDO, origin=origin),
+                       work_done=time)
+            shadow[pid, pindex] = (time, PSEUDO, origin)
+        else:
+            cut = time - rng.random() * 3.0
+            store.purge_before(pid, cut, keep_latest_regular=rng.random() < 0.7)
+            shadow = {key: value for key, value in shadow.items()
+                      if key[0] != pid or store.get(*key) is not None}
+        assert store.count() == len(shadow)
+        assert {(pid, state.index) for pid in range(n)
+                for state in store.states_of(pid)} == set(shadow)

@@ -99,6 +99,10 @@ class TestImportSets:
         modules = modules_after(CLI, "eval", spec)
         assert loaded(modules, HEAVY) == []
         assert "repro.api.evaluators" in modules
+        # The strategy engine registers on first use: the recovery runtimes,
+        # the event kernel and the fault models stay out of an analytic cell.
+        assert loaded(modules, ("repro.api.strategy", "repro.recovery",
+                                "repro.sim", "repro.faults")) == []
 
     def test_cold_strategy_sweep(self, tmp_path):
         spec = write_spec(tmp_path, "sweep.json", STRATEGY_SWEEP)
