@@ -25,8 +25,6 @@ Examples
 from __future__ import annotations
 
 import argparse
-import ast
-import inspect
 import json
 import os
 import sys
@@ -47,6 +45,7 @@ DEFAULT_CLI_SEED = 2024
 
 def _parse_value(text: str):
     """Best-effort literal parsing: ints, floats, tuples, booleans, strings."""
+    import ast
     lowered = text.lower()
     if lowered in ("true", "false"):
         return lowered == "true"
@@ -342,6 +341,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "'evaluate' scenario, prefer `python -m repro eval SPEC.json`")
     # Validate overrides against the scenario signature up front, so a typo'd
     # -p name fails cleanly without masking TypeErrors from the run itself.
+    import inspect
     try:
         inspect.signature(spec.func).bind_partial(None, **{**dict(spec.defaults),
                                                            **params})

@@ -26,19 +26,21 @@ cells into one backend fan-out.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from importlib import import_module
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.evaluation import Evaluation
 from repro.api.spec import StudySpec, SystemSpec
 from repro.bench import phase as _phase
-from repro.markov.montecarlo import (ModelSimulator, SimulatedIntervals,
-                                     concatenate_intervals)
-from repro.markov.recovery_line_interval import RecoveryLineIntervalModel
 from repro.runner import ExecutionContext, seed_to_int
+
+if TYPE_CHECKING:  # each engine loads its numeric modules where it computes
+    import numpy as np
+
+    from repro.markov.montecarlo import SimulatedIntervals
+    from repro.markov.recovery_line_interval import RecoveryLineIntervalModel
 
 __all__ = [
     "AUTO_FULL_CHAIN_MAX_N",
@@ -49,6 +51,7 @@ __all__ = [
     "UnsupportedMetricError",
     "get_evaluator",
     "list_methods",
+    "load_engine",
     "register_evaluator",
     "resolve_method",
 ]
@@ -97,8 +100,9 @@ def sample_shard(task: SampleTask) -> SimulatedIntervals:
     params = system.build()
     law = system.failure_law
     if task.engine == "mc":
+        from repro.markov.montecarlo import (ModelSimulator,
+                                             RenewalModelSimulator)
         if law != "exponential":
-            from repro.markov.montecarlo import RenewalModelSimulator
             sampler = RenewalModelSimulator(params, seed=task.seed,
                                             failure_law=law,
                                             failure_shape=system.failure_shape)
@@ -133,6 +137,11 @@ class Evaluator:
 
     #: Module-level function the backend maps over :meth:`tasks` output.
     worker = staticmethod(sample_shard)
+
+    #: The modules the engine computes with.  Its code imports them where it
+    #: computes, so a store hit loads none of them; :func:`load_engine`
+    #: imports them when the executor plans a cell.
+    modules: Tuple[str, ...] = ()
 
     def validate(self, spec: StudySpec) -> None:
         """Reject *spec* early when this engine cannot serve it (no-op here)."""
@@ -187,6 +196,8 @@ class AnalyticEvaluator(Evaluator):
     systems — the Section 3 closed forms of the synchronized scheme."""
 
     name = "analytic"
+    modules = ("repro.markov.recovery_line_interval",
+               "repro.workloads.generators")
 
     def validate(self, spec: StudySpec) -> None:
         if spec.system.kind == "strategy":
@@ -228,6 +239,8 @@ class AnalyticEvaluator(Evaluator):
                     backend=str(options.get("backend", "auto")))
             with _phase("solve"):
                 return self._solve_renewal(spec, chain)
+        from repro.markov.recovery_line_interval import \
+            RecoveryLineIntervalModel
         with _phase("assembly"):
             model = RecoveryLineIntervalModel(
                 spec.system.build(),
@@ -245,6 +258,7 @@ class AnalyticEvaluator(Evaluator):
         phase-type fit error (the ``ph-approx-<order>`` backend label and
         the conformance suite's documented tolerances make this explicit).
         """
+        import numpy as np
         ph = chain.phase_type
         metrics: Dict[str, float] = {"mean": ph.mean()}
         if spec.wants("variance"):
@@ -274,6 +288,7 @@ class AnalyticEvaluator(Evaluator):
 
     def _solve(self, spec: StudySpec,
                model: RecoveryLineIntervalModel) -> Evaluation:
+        import numpy as np
         # E[X] is always computed (cheap next to the factorisation, which is
         # cached on the model): Evaluation.mean and agrees_with() rely on it
         # regardless of the requested metric set.
@@ -362,6 +377,9 @@ class _StochasticEvaluator(Evaluator):
 
     def assemble(self, spec: StudySpec,
                  outputs: Sequence[SimulatedIntervals]) -> Evaluation:
+        import numpy as np
+
+        from repro.markov.montecarlo import concatenate_intervals
         sample = concatenate_intervals(list(outputs))
         lengths = sample.lengths
         # The mean is always reported (Evaluation.mean / agrees_with depend
@@ -406,6 +424,7 @@ class MonteCarloEvaluator(_StochasticEvaluator):
 
     name = "mc"
     backend_label = "model-mc"
+    modules = ("repro.markov.montecarlo", "repro.workloads.generators")
 
 
 class DiscreteEventEvaluator(_StochasticEvaluator):
@@ -413,6 +432,8 @@ class DiscreteEventEvaluator(_StochasticEvaluator):
 
     name = "des"
     backend_label = "des-engine"
+    modules = ("repro.markov.montecarlo", "repro.sim.interval_sampler",
+               "repro.workloads.generators")
 
 
 _EVALUATORS: Dict[str, Evaluator] = {}
@@ -449,6 +470,21 @@ def get_evaluator(method: str) -> Evaluator:
         known = ", ".join(list_methods())
         raise KeyError(f"unknown evaluation method {method!r}; known methods: "
                        f"auto, {known}") from None
+
+
+def load_engine(method: str) -> None:
+    """Import *method*'s :attr:`Evaluator.modules` (a no-op once loaded).
+
+    The executor calls this when it plans a cell, before any backend map,
+    so ``--timing`` charges the imports to its ``import`` row and
+    process-pool workers fork with the engine already loaded.
+    """
+    missing = [name for name in get_evaluator(method).modules
+               if name not in sys.modules]
+    if missing:
+        with _phase("import"):
+            for name in missing:
+                import_module(name)
 
 
 def _system_is_symmetric(system: SystemSpec) -> bool:

@@ -3,8 +3,10 @@
 Every number the package serves for a study cell comes from the same four
 steps, and this module is the only place that takes them:
 
-1. **plan** — a deterministic cell is its own task (:class:`BatchCell` is
-   the worker payload); a stochastic cell gets its own
+1. **plan** — the engine's modules load
+   (:func:`~repro.api.evaluators.load_engine`; a store hit never gets
+   here, so it loads no engine); a deterministic cell is its own task
+   (:class:`BatchCell` is the worker payload); a stochastic cell gets its own
    :class:`~repro.runner.runner.ExecutionContext` seeded with the cell's
    root seed and resolved budget, and its engine's
    :meth:`~repro.api.evaluators.Evaluator.tasks` spawns the shard seeds in
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.evaluation import Evaluation
-from repro.api.evaluators import get_evaluator
+from repro.api.evaluators import get_evaluator, load_engine
 from repro.api.spec import EVALUATE_SCENARIO_NAME, StudySpec
 from repro.bench import phase as _phase
 from repro.experiments.common import ExperimentResult
@@ -122,7 +124,12 @@ def _worker(method: str):
 
 def _plan(cell: BatchCell, backend: ExecutionBackend
           ) -> Tuple[BatchCell, List[object]]:
-    """The cell to assemble against, and its tasks."""
+    """The cell to assemble against, and its tasks.
+
+    Planning loads the engine (:func:`load_engine`), so its imports land in
+    the ``import`` phase and happen once in the driver, before any map.
+    """
+    load_engine(cell.method)
     evaluator = get_evaluator(cell.method)
     if not evaluator.stochastic:
         return cell, [cell]

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace as _dc_replace
 from typing import Dict, Iterable, List, Mapping, Optional, Union
 
 from repro.api.evaluation import Evaluation
-from repro.api.evaluators import get_evaluator, resolve_method
+from repro.api.evaluators import get_evaluator, load_engine, resolve_method
 from repro.api.execute import (BatchCell, cell_key, execute_and_store,
                                map_cells)
 from repro.api.spec import EVALUATE_SCENARIO_NAME, StudySpec
@@ -283,6 +283,7 @@ def evaluate_in_context(ctx: ExecutionContext,
         raise ValueError(f"evaluate_in_context needs one engine per call, "
                          f"got {sorted(names)}")
     resolved = names.pop()
+    load_engine(resolved)
     cells = [BatchCell(s, resolved) for s in specs]
     evaluator = get_evaluator(resolved)
     if evaluator.stochastic:

@@ -21,10 +21,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterator, Mapping, Optional,
+                    Sequence, Tuple)
 
-from repro.core.parameters import SystemParameters
 from repro.report.store import canonical_params, store_key
+
+if TYPE_CHECKING:  # a spec builds its system only where an engine computes
+    from repro.core.parameters import SystemParameters
 
 __all__ = [
     "DEFAULT_EVAL_REPS",
@@ -379,6 +382,7 @@ class SystemSpec:
     # ------------------------------------------------------------------ building
     def build(self) -> SystemParameters:
         """Materialise the declared system as :class:`SystemParameters`."""
+        from repro.core.parameters import SystemParameters
         args = dict(self.args)
         if self.kind == "strategy":
             return self.build_workload().params

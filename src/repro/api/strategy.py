@@ -41,8 +41,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from repro.api.evaluation import Evaluation
 from repro.api.evaluators import (Evaluator, UnsupportedMetricError,
                                   register_evaluator)
@@ -145,6 +143,7 @@ class StrategyEvaluator(Evaluator):
     name = "strategy"
     stochastic = True
     worker = staticmethod(run_strategy_task)
+    modules = ("repro.recovery", "repro.workloads.generators")
 
     # ------------------------------------------------------------------ checks
     def validate(self, spec: StudySpec) -> None:
@@ -214,6 +213,8 @@ class StrategyEvaluator(Evaluator):
     # ------------------------------------------------------------------ reduce
     def assemble(self, spec: StudySpec,
                  outputs: Sequence[Sequence[RunReport]]) -> Evaluation:
+        import numpy as np
+
         # Each output is one chunk's report list; flattening in task order
         # restores the exact per-replication order of the unchunked layout.
         reports = [report for chunk in outputs for report in chunk]

@@ -17,9 +17,11 @@ import abc
 import os
 import signal
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar, Union
+from typing import (TYPE_CHECKING, Callable, Iterable, List, Optional,
+                    Sequence, TypeVar, Union)
+
+if TYPE_CHECKING:  # multiprocessing loads with the first pool
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["ExecutionBackend", "SerialBackend", "ProcessPoolBackend", "make_backend"]
 
@@ -103,6 +105,8 @@ class ProcessPoolBackend(ExecutionBackend):
         if workers <= 1:
             # Nothing to fan out; skip the pool (and its pickling round-trip).
             return [func(task) for task in tasks]
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
         chunksize = -(-len(tasks) // (4 * workers))
         with self._lock:
             if self._pool is None:

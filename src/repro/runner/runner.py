@@ -34,12 +34,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional, Sequence, TypeVar, Union
-
-import numpy as np
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, List, Optional,
+                    Sequence, TypeVar, Union)
 
 from repro.runner.backends import ExecutionBackend, SerialBackend, make_backend
 from repro.runner.registry import ScenarioSpec, get_scenario, load_builtin_scenarios
+
+if TYPE_CHECKING:  # numpy loads when the first seed is spawned
+    import numpy as np
 
 __all__ = [
     "DEFAULT_SHARD_SIZE",
@@ -77,6 +79,7 @@ def seed_to_int(seq: np.random.SeedSequence) -> int:
     For legacy components whose API takes an ``int`` seed (the recovery-scheme
     runtimes, :class:`~repro.sim.random_streams.RandomStreams`).
     """
+    import numpy as np
     lo, hi = seq.generate_state(2, dtype=np.uint32)
     return (int(hi) << 32) | int(lo)
 
@@ -110,6 +113,7 @@ class ExecutionContext:
         if n < 0:
             raise ValueError("cannot spawn a negative number of seeds")
         if self._root is None:
+            import numpy as np
             self._root = np.random.SeedSequence(self.seed)
         return list(self._root.spawn(n)) if n else []
 

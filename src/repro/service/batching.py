@@ -24,9 +24,12 @@ from typing import Callable, Dict, List, Optional
 
 # The pool's workers fork from the service, so the worker-side modules of
 # every engine load here, once, instead of in each worker on its first batch:
-# the strategy engine (registered on first use) with its runtimes, and the
+# the analytic and mc engines (which load on first plan elsewhere), the
+# strategy engine (registered on first use) with its runtimes, and the
 # system builders behind SystemSpec.build.
 import repro.api.strategy  # noqa: F401
+import repro.markov.montecarlo  # noqa: F401
+import repro.markov.recovery_line_interval  # noqa: F401
 import repro.recovery  # noqa: F401
 import repro.workloads.generators  # noqa: F401
 from repro.api.execute import BatchCell, ExecutedCell, execute_cells

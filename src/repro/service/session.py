@@ -47,8 +47,13 @@ from repro.service.batching import AdmissionBatcher, BatchCell
 from repro.service.cache import CachedResult, ResultLRU
 from repro.service.dedup import SingleFlight
 
-__all__ = ["EvaluationService", "ServiceClient", "StudyOutcome",
-           "SubmitOutcome"]
+__all__ = ["MAX_SUBMIT_CELLS", "EvaluationService", "ServiceClient",
+           "StudyOutcome", "SubmitOutcome"]
+
+#: Most cells one submission may expand to.  Every cell becomes a task on
+#: the event loop, so a small body with wide sweep axes is refused before
+#: any task exists; a larger study goes out as several submissions.
+MAX_SUBMIT_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -140,12 +145,20 @@ class EvaluationService:
                      force: bool = False) -> StudyOutcome:
         """Evaluate *spec* (sweeps expand to cells, submitted concurrently).
 
+        A spec of more than :data:`MAX_SUBMIT_CELLS` cells raises
+        :class:`ValueError` (HTTP 400) before any cell is submitted.
+
         Concurrent cell submission is what lets one tenant's sweep coalesce
         into a single backend fan-out — and lets many tenants' overlapping
         sweeps share flights instead of recomputing each other's cells.
         """
         if not isinstance(spec, StudySpec):
             spec = StudySpec.from_dict(spec)
+        count = spec.cell_count()
+        if count > MAX_SUBMIT_CELLS:
+            raise ValueError(f"the spec expands to {count} cells; one "
+                             f"submission may hold at most "
+                             f"{MAX_SUBMIT_CELLS}")
         self.submissions += 1
         cells = await asyncio.gather(
             *(self.submit_cell(cell, method, force=force)

@@ -250,3 +250,153 @@ class TestPrivateNames:
                     if alias.name.startswith("_")
                     and not alias.name.startswith("__"))
         assert crossings == []
+
+
+#: What a run that computes nothing (every cell a store hit) never loads: the
+#: numeric stack, every engine's model code and the process-pool machinery.
+NO_ENGINE = ("numpy", "scipy", "repro.markov", "repro.core", "repro.recovery",
+             "repro.sim", "multiprocessing", "concurrent.futures.process")
+
+ANALYTIC_SWEEP = {**ANALYTIC_CELL, "sweep": {"lam_base": [0.3, 0.5, 0.7]}}
+
+
+def eval_with_modules(*args: str):
+    """``(stdout, sys.modules)`` of one ``eval`` in a fresh interpreter."""
+    out = run_python(CLI + "\nimport json, sys\n"
+                     "print(json.dumps(sorted(sys.modules)))\n", "eval", *args)
+    lines = out.splitlines()
+    return "\n".join(lines[:-1]), set(json.loads(lines[-1]))
+
+
+class TestWarmStore:
+    """A store hit loads no engine: only planning a cell loads one."""
+
+    @pytest.mark.parametrize("payload, cells", [(ANALYTIC_SWEEP, 3),
+                                                (STRATEGY_SWEEP, 3)],
+                             ids=["analytic", "strategy"])
+    def test_warm_sweep_loads_no_engine(self, tmp_path, payload, cells):
+        spec = write_spec(tmp_path, "sweep.json", payload)
+        store = str(tmp_path / "store")
+        run_python(CLI, "eval", spec, "--store", store)
+        out, modules = eval_with_modules(spec, "--store", store)
+        assert f"{cells} served from the store" in out
+        assert loaded(modules, NO_ENGINE) == []
+
+    def test_cold_strategy_sweep_loads_no_scipy(self, tmp_path):
+        spec = write_spec(tmp_path, "sweep.json", STRATEGY_SWEEP)
+        out, modules = eval_with_modules(spec, "--store",
+                                         str(tmp_path / "store"))
+        assert "0 served from the store" in out
+        assert "repro.recovery" in modules
+        assert loaded(modules, ("scipy", "repro.markov")) == []
+
+
+class TestEngineLoadsWhenPlanned:
+    def test_pool_workers_import_nothing_the_driver_lacks(self):
+        """The executor loads each engine while it plans, before the first
+        map starts the pool, so a driver that imported only ``repro.api``
+        forks workers that import nothing new for any engine."""
+        out = run_python("""
+            import json, sys
+            import repro.api
+            from repro.api import StudySpec, SystemSpec
+            from repro.api.execute import BatchCell, execute_cells
+            from repro.runner.backends import ProcessPoolBackend
+
+            def probe(payload):
+                func, task = payload
+                return func(task), sorted(sys.modules)
+
+            class ProbeBackend(ProcessPoolBackend):
+                worker_modules = set()
+
+                def map(self, func, tasks):
+                    pairs = super().map(probe, [(func, t) for t in tasks])
+                    for _result, modules in pairs:
+                        self.worker_modules.update(modules)
+                    return [result for result, _modules in pairs]
+
+            def analytic(lam_base):
+                return StudySpec.from_dict({
+                    "system": {"kind": "heterogeneous", "n": 9,
+                               "mu_base": 1.0, "mu_gradient": 2.0,
+                               "lam_base": lam_base, "locality": 1.0},
+                    "metrics": ["mean", "variance"]})
+
+            def sampled(reps):
+                return StudySpec(system=SystemSpec.symmetric(3, 1.0, 0.5),
+                                 metrics=("mean",), seed=7, reps=reps)
+
+            strategy = StudySpec(
+                system=SystemSpec.strategy("pseudo", 3, mu=1.0, lam=1.0,
+                                           work=10.0, error_rate=0.04),
+                metrics=("makespan",), seed=11, reps=16)
+            before = set(sys.modules)
+            backend = ProbeBackend(workers=2)
+            try:
+                outcomes, dispatches = execute_cells(backend, [
+                    BatchCell(analytic(0.5), "analytic"),
+                    BatchCell(analytic(0.6), "analytic"),
+                    BatchCell(sampled(4000), "mc"),
+                    BatchCell(sampled(2200), "des"),
+                    BatchCell(strategy, "strategy")])
+            finally:
+                backend.close()
+            assert dispatches == 3
+            assert not any(isinstance(o, Exception) for o in outcomes), \\
+                outcomes
+            print(json.dumps({
+                "driver_loaded": sorted(set(sys.modules) - before),
+                "worker_only": sorted(backend.worker_modules
+                                      - set(sys.modules))}))
+        """)
+        report = json.loads(out.splitlines()[-1])
+        for engine in ("repro.markov.recovery_line_interval",
+                       "repro.markov.montecarlo", "repro.sim.interval_sampler",
+                       "repro.recovery"):
+            assert engine in report["driver_loaded"]
+        assert report["worker_only"] == []
+
+    def test_engine_modules_load_in_the_import_phase(self, tmp_path):
+        """``--timing`` stays honest: a cold analytic and a cold strategy
+        ``eval`` load their engines inside the ``import`` phase, not in
+        ``assembly``, ``solve`` or ``sim``."""
+        analytic = write_spec(tmp_path, "analytic.json", ANALYTIC_SWEEP)
+        strategy = write_spec(tmp_path, "strategy.json", STRATEGY_SWEEP)
+        out = run_python("""
+            import contextlib, json, sys
+            import repro.__main__
+            from repro.bench import PhaseTimer
+
+            active = []
+            timed = PhaseTimer.phase
+
+            @contextlib.contextmanager
+            def tracked(self, name):
+                active.append(name)
+                try:
+                    with timed(self, name):
+                        yield
+                finally:
+                    active.pop()
+
+            PhaseTimer.phase = tracked
+            phases = {}
+
+            class Spy:
+                def find_spec(self, name, path=None, target=None):
+                    phases.setdefault(name, list(active))
+                    return None
+
+            sys.meta_path.insert(0, Spy())
+            for spec in sys.argv[1:]:
+                assert repro.__main__.main(["eval", spec, "--timing"]) == 0
+            print(json.dumps(phases))
+        """, analytic, strategy)
+        phases = json.loads(out.splitlines()[-1])
+        engines = ("numpy", "scipy.sparse", "scipy.linalg",
+                   "repro.markov.recovery_line_interval", "repro.core",
+                   "repro.recovery", "repro.sim.engine",
+                   "repro.workloads.generators")
+        for module in engines:
+            assert phases[module] == ["import"], module
