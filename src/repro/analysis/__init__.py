@@ -12,32 +12,24 @@
   guidance the paper sketches in its conclusion.
 """
 
-from repro.analysis.order_statistics import (
-    expected_maximum_exponential,
-    maximum_exponential_cdf,
-    maximum_exponential_pdf,
-    expected_range_exponential,
-)
-from repro.analysis.synchronized_loss import (
-    SynchronizedLossModel,
-    computation_loss,
-    computation_loss_homogeneous,
-)
-from repro.analysis.prp_overhead import PRPOverheadModel
-from repro.analysis.rollback_distance import AsynchronousRollbackModel
-from repro.analysis.comparison import StrategyComparison, SchemeCosts, recommend_scheme
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "expected_maximum_exponential",
-    "maximum_exponential_cdf",
-    "maximum_exponential_pdf",
-    "expected_range_exponential",
-    "SynchronizedLossModel",
-    "computation_loss",
-    "computation_loss_homogeneous",
-    "PRPOverheadModel",
-    "AsynchronousRollbackModel",
-    "StrategyComparison",
-    "SchemeCosts",
-    "recommend_scheme",
-]
+#: Public name -> the submodule that defines it, resolved on first use, so a
+#: closed-form cell loads only its own model and not the Markov chain stack
+#: the asynchronous rollback model computes with.
+_EXPORTS = {
+    **dict.fromkeys(("expected_maximum_exponential", "maximum_exponential_cdf",
+                     "maximum_exponential_pdf", "expected_range_exponential"),
+                    "repro.analysis.order_statistics"),
+    **dict.fromkeys(("SynchronizedLossModel", "computation_loss",
+                     "computation_loss_homogeneous"),
+                    "repro.analysis.synchronized_loss"),
+    "PRPOverheadModel": "repro.analysis.prp_overhead",
+    "AsynchronousRollbackModel": "repro.analysis.rollback_distance",
+    **dict.fromkeys(("StrategyComparison", "SchemeCosts", "recommend_scheme"),
+                    "repro.analysis.comparison"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

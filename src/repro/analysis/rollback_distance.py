@@ -18,12 +18,14 @@ inter-line interval the failure strikes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
 
 from repro.core.parameters import SystemParameters
-from repro.markov.recovery_line_interval import RecoveryLineIntervalModel
+
+if TYPE_CHECKING:  # the chain stack loads when a model is built
+    from repro.markov.recovery_line_interval import RecoveryLineIntervalModel
 
 __all__ = ["AsynchronousRollbackModel"]
 
@@ -37,6 +39,8 @@ class AsynchronousRollbackModel:
 
     def __post_init__(self) -> None:
         if self._model is None:
+            from repro.markov.recovery_line_interval import \
+                RecoveryLineIntervalModel
             self._model = RecoveryLineIntervalModel(self.params)
 
     @property

@@ -143,6 +143,11 @@ class Evaluator:
     #: imports them when the executor plans a cell.
     modules: Tuple[str, ...] = ()
 
+    def modules_for(self, spec: StudySpec) -> Tuple[str, ...]:
+        """The :attr:`modules` computing *spec* (engines with more than one
+        route narrow them per cell)."""
+        return self.modules
+
     def validate(self, spec: StudySpec) -> None:
         """Reject *spec* early when this engine cannot serve it (no-op here)."""
 
@@ -198,6 +203,14 @@ class AnalyticEvaluator(Evaluator):
     name = "analytic"
     modules = ("repro.markov.recovery_line_interval",
                "repro.workloads.generators")
+    #: The Section 3 closed forms of a ``strategy`` cell: no Markov chain.
+    closed_form_modules = ("repro.api.strategy",
+                           "repro.analysis.synchronized_loss",
+                           "repro.workloads.generators")
+
+    def modules_for(self, spec: StudySpec) -> Tuple[str, ...]:
+        return self.closed_form_modules if spec.system.kind == "strategy" \
+            else self.modules
 
     def validate(self, spec: StudySpec) -> None:
         if spec.system.kind == "strategy":
@@ -241,12 +254,15 @@ class AnalyticEvaluator(Evaluator):
                 return self._solve_renewal(spec, chain)
         from repro.markov.recovery_line_interval import \
             RecoveryLineIntervalModel
+        # Assembly builds the chain (the structure fill included); the
+        # factorisation waits for the first solve, so ``solve`` holds it.
         with _phase("assembly"):
             model = RecoveryLineIntervalModel(
                 spec.system.build(),
                 prefer_simplified=bool(options.get("prefer_simplified", True)),
                 backend=str(options.get("backend", "auto")),
                 structure_cache=bool(options.get("structure_cache", True)))
+            model.phase_type
         with _phase("solve"):
             return self._solve(spec, model)
 
@@ -472,14 +488,15 @@ def get_evaluator(method: str) -> Evaluator:
                        f"auto, {known}") from None
 
 
-def load_engine(method: str) -> None:
-    """Import *method*'s :attr:`Evaluator.modules` (a no-op once loaded).
+def load_engine(method: str, spec: StudySpec) -> None:
+    """Import the modules *method* computes *spec* with (a no-op once
+    loaded; see :meth:`Evaluator.modules_for`).
 
     The executor calls this when it plans a cell, before any backend map,
     so ``--timing`` charges the imports to its ``import`` row and
     process-pool workers fork with the engine already loaded.
     """
-    missing = [name for name in get_evaluator(method).modules
+    missing = [name for name in get_evaluator(method).modules_for(spec)
                if name not in sys.modules]
     if missing:
         with _phase("import"):

@@ -14,7 +14,8 @@ steps, and this module is the only place that takes them:
 2. **map** — the tasks of every cell sharing an engine worker go through
    one ``backend.map`` (``mc`` and ``des`` share one worker);
 3. **assemble** — each cell's slice of the outputs becomes its
-   :class:`~repro.api.evaluation.Evaluation`, encoded as result rows;
+   :class:`~repro.api.evaluation.Evaluation` (encoded as result rows only
+   when the store or the service cache reads them);
 4. **store** — :func:`execute_and_store` writes each cacheable cell under
    its canonical key.
 
@@ -39,7 +40,8 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.evaluation import Evaluation
@@ -71,13 +73,17 @@ class BatchCell:
 
 @dataclass(frozen=True)
 class ExecutedCell:
-    """One executed cell in the store's currency (result-row encoding),
-    plus the ``evaluation`` it encodes, so callers need not decode it."""
+    """One executed cell: its ``evaluation`` and compute time."""
 
-    result: ExperimentResult
+    evaluation: Evaluation
     elapsed_seconds: float
-    evaluation: Optional[Evaluation] = field(default=None, compare=False,
-                                             repr=False)
+
+    @cached_property
+    def result(self) -> ExperimentResult:
+        """The evaluation in the store's currency (result-row encoding),
+        encoded on first read: only a store ``put`` or a service cache entry
+        needs it."""
+        return self.evaluation.to_experiment_result()
 
 
 def cell_identity(cell: BatchCell
@@ -129,7 +135,7 @@ def _plan(cell: BatchCell, backend: ExecutionBackend
     Planning loads the engine (:func:`load_engine`), so its imports land in
     the ``import`` phase and happen once in the driver, before any map.
     """
-    load_engine(cell.method)
+    load_engine(cell.method, cell.spec)
     evaluator = get_evaluator(cell.method)
     if not evaluator.stochastic:
         return cell, [cell]
@@ -208,9 +214,8 @@ def execute_cells(backend: ExecutionBackend, cells: Sequence[BatchCell]
                            tasks, bounds)
         for (index, _planned, _tasks), result in zip(members, mapped):
             outcomes[index] = result if isinstance(result, Exception) \
-                else ExecutedCell(result=result[0].to_experiment_result(),
-                                  elapsed_seconds=result[1],
-                                  evaluation=result[0])
+                else ExecutedCell(evaluation=result[0],
+                                  elapsed_seconds=result[1])
     return outcomes, len(groups)
 
 

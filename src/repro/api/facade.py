@@ -283,7 +283,8 @@ def evaluate_in_context(ctx: ExecutionContext,
         raise ValueError(f"evaluate_in_context needs one engine per call, "
                          f"got {sorted(names)}")
     resolved = names.pop()
-    load_engine(resolved)
+    for spec in specs:
+        load_engine(resolved, spec)
     cells = [BatchCell(s, resolved) for s in specs]
     evaluator = get_evaluator(resolved)
     if evaluator.stochastic:

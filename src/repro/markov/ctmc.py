@@ -25,23 +25,22 @@ an independent cross-check of the matrix-exponential path in the ablation bench.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 from scipy import sparse
 
-from repro.markov.operators import TransientOperator, as_operator
+from repro.markov.operators import (DenseTransientBlock, TransientOperator,
+                                    as_operator)
 
-__all__ = ["PhaseType", "transient_distribution"]
+__all__ = ["PhaseType", "check_sub_generator", "transient_distribution"]
 
 #: Largest order at which :meth:`PhaseType.sample` will densify a sparse ``T``
 #: to build its per-state jump tables.
 _SAMPLE_DENSIFY_LIMIT = 4096
 
 
-@dataclass(frozen=True)
 class PhaseType:
     """Phase-type distribution ``PH(α, T)``.
 
@@ -55,51 +54,57 @@ class PhaseType:
         ``p × p`` sub-generator: non-positive diagonal, non-negative off-diagonal,
         row sums ≤ 0 with strict inequality for at least one reachable state
         (otherwise absorption would never happen).  Dense ``ndarray`` or any
-        ``scipy.sparse`` matrix (stored as CSR).
+        ``scipy.sparse`` matrix (stored as CSR); either is copied and checked.
+        A :class:`~repro.markov.operators.DenseTransientBlock` — what the
+        structure-cached generator assembly fills — is adopted as it is: its
+        producer has checked it, and its matrix is built only when read.
     """
 
-    alpha: np.ndarray
-    T: Union[np.ndarray, sparse.spmatrix]
-
-    def __post_init__(self) -> None:
-        alpha = np.asarray(self.alpha, dtype=float).copy()
+    def __init__(self, alpha: np.ndarray,
+                 T: Union[np.ndarray, sparse.spmatrix,
+                          DenseTransientBlock]) -> None:
+        alpha = np.asarray(alpha, dtype=float).copy()
         if alpha.ndim != 1:
             raise ValueError("alpha must be a vector")
         if np.any(alpha < -1e-12) or abs(alpha.sum() - 1.0) > 1e-9:
             raise ValueError("alpha must be a probability vector")
-        if sparse.issparse(self.T):
-            T = sparse.csr_matrix(self.T, copy=True)
+        if isinstance(T, DenseTransientBlock):
+            order = T.order
+        elif sparse.issparse(T):
+            T = sparse.csr_matrix(T, copy=True)
             if T.shape[0] != T.shape[1]:
                 raise ValueError("T must be square")
-            diagonal = T.diagonal()
             coo = T.tocoo()
             off = coo.data[coo.row != coo.col]
-            if off.size and np.min(off) < -1e-9:
-                raise ValueError("off-diagonal entries of T must be non-negative")
-            row_sums = np.asarray(T.sum(axis=1)).ravel()
+            check_sub_generator(bool(off.size) and np.min(off) < -1e-9,
+                                T.diagonal(),
+                                np.asarray(T.sum(axis=1)).ravel())
+            order = T.shape[0]
         else:
-            T = np.asarray(self.T, dtype=float).copy()
+            T = np.asarray(T, dtype=float).copy()
             if T.ndim != 2 or T.shape[0] != T.shape[1]:
                 raise ValueError("T must be square")
-            diagonal = np.diagonal(T)
             # Off-diagonal sign check without materialising T - diag(T): flag
             # the negative entries and discount the (legitimately negative)
             # diagonal.
             negative = T < -1e-9
             np.fill_diagonal(negative, False)
-            if np.any(negative):
-                raise ValueError("off-diagonal entries of T must be non-negative")
-            row_sums = T.sum(axis=1)
+            check_sub_generator(bool(np.any(negative)), np.diagonal(T),
+                                T.sum(axis=1))
             T.setflags(write=False)
-        if T.shape[0] != alpha.shape[0]:
+            order = T.shape[0]
+        if order != alpha.shape[0]:
             raise ValueError("alpha and T have mismatched sizes")
-        if np.any(diagonal > 1e-9):
-            raise ValueError("diagonal entries of T must be non-positive")
-        if np.any(row_sums > 1e-7):
-            raise ValueError("row sums of T must be non-positive")
         alpha.setflags(write=False)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "T", T)
+        self.alpha = alpha
+        self._T = T
+
+    @property
+    def T(self) -> Union[np.ndarray, sparse.csr_matrix]:
+        """The sub-generator: CSR, or a read-only C-ordered array (built on
+        first read when ``T`` came as a block)."""
+        T = self._T
+        return T.T if isinstance(T, DenseTransientBlock) else T
 
     # ------------------------------------------------------------------ basics
     @property
@@ -110,7 +115,7 @@ class PhaseType:
     @property
     def is_sparse(self) -> bool:
         """Whether ``T`` is stored (and evaluated) sparsely."""
-        return sparse.issparse(self.T)
+        return sparse.issparse(self._T)
 
     @cached_property
     def operator(self) -> TransientOperator:
@@ -122,7 +127,7 @@ class PhaseType:
         :func:`~repro.markov.generator.build_phase_type` really measures the
         dense numerics.
         """
-        return as_operator(self.T,
+        return as_operator(self._T,
                            backend="sparse" if self.is_sparse else "dense")
 
     @property
@@ -192,8 +197,7 @@ class PhaseType:
         # solve output it replaces, never a numeric shortcut.
         vecs = self.__dict__.get("_moment_vecs")
         if vecs is None:
-            vecs = [np.ones(self.order)]
-            object.__setattr__(self, "_moment_vecs", vecs)
+            vecs = self._moment_vecs = [np.ones(self.order)]
         while len(vecs) <= k:
             vecs.append(self.operator.solve(vecs[-1]))
         sign = -1.0 if k % 2 else 1.0
@@ -266,6 +270,19 @@ class PhaseType:
                 state = int(rng.choice(self.order, p=probs / max(probs.sum(), 1e-300)))
             out[i] = t
         return out
+
+
+def check_sub_generator(negative_off_diagonal: bool, diagonal: np.ndarray,
+                        row_sums: np.ndarray) -> None:
+    """Raise ``ValueError`` unless these describe a sub-generator ``T``:
+    no negative off-diagonal entry, a non-positive diagonal and
+    non-positive row sums (all up to round-off)."""
+    if negative_off_diagonal:
+        raise ValueError("off-diagonal entries of T must be non-negative")
+    if np.any(diagonal > 1e-9):
+        raise ValueError("diagonal entries of T must be non-positive")
+    if np.any(row_sums > 1e-7):
+        raise ValueError("row sums of T must be non-positive")
 
 
 def _factorial(k: int) -> float:

@@ -208,7 +208,9 @@ def build_phase_type(params: SystemParameters, *,
     call — e.g. the cells of a rates-only sweep — only rewrites the value
     array.  Both cached fills are bit-identical to the legacy builders (the
     loop-built :func:`build_generator` and :func:`build_generator_sparse`),
-    so the flag only trades assembly time, never results.
+    so the flag only trades assembly time, never results.  A cached dense
+    ``T`` arrives as a :class:`~repro.markov.operators.DenseTransientBlock`
+    (see :meth:`~repro.markov.structure_cache.GeneratorStructure.fill_dense`).
     """
     space = AsyncStateSpace(params.n)
     chosen = select_backend(space.n_transient, backend)
@@ -220,14 +222,10 @@ def build_phase_type(params: SystemParameters, *,
             k = space.n_transient
             T = H_sparse[:k, :k].tocsr()
         else:
-            # Scratch-buffer fill: PhaseType copies T defensively below, so
-            # the structure-owned buffer is consumed before any refill.
-            H = structure.fill_dense_shared(params)
-            # The transient states are exactly indices 0 … 2^n − 1, so the
-            # restriction is a plain leading sub-block; the view's elements
-            # are the same floats np.ix_ would copy, and PhaseType makes its
-            # own defensive copy anyway.
-            T = H[:space.n_transient, :space.n_transient]
+            # One k × k buffer: the structure fills and checks it, the dense
+            # operator factors it in place, and the C-ordered T is built
+            # only for the readers that need the matrix itself.
+            T = structure.fill_dense(params)
     elif chosen == "sparse":
         H_sparse, space = build_generator_sparse(params)
         k = space.n_transient

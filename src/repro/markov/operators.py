@@ -37,7 +37,8 @@ either backend explicitly (the agreement of the two *is* a test).
 from __future__ import annotations
 
 import warnings
-from typing import Optional, Tuple, Union
+from functools import cached_property
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 from scipy import linalg as sla
@@ -164,25 +165,69 @@ class TransientOperator:
         return -self.solve_transpose(np.asarray(alpha, dtype=float))
 
 
+class DenseTransientBlock:
+    """A dense ``T`` whose matrix is built on first read.
+
+    The structure-cached assembly hands over ``buffer``: ``T``'s values in
+    Fortran order, the layout LAPACK's ``getrf`` factors in place, so the
+    first dense solve consumes it with no copy.  The C-ordered matrix that
+    every other reader needs (``matvec``, ``expm``, the transpose solves,
+    :attr:`PhaseType.T <repro.markov.ctmc.PhaseType.T>`) comes from
+    ``materialise``, which rebuilds it from the recipe that filled the
+    buffer, so it holds the same bits before and after the buffer was
+    factored.  A mean/variance evaluation never asks for it.
+
+    The producer validates the values (see
+    :meth:`repro.markov.structure_cache.GeneratorStructure.fill_dense`).
+    """
+
+    def __init__(self, order: int, materialise: Callable[[], np.ndarray],
+                 buffer: Optional[np.ndarray] = None) -> None:
+        self.order = int(order)
+        self._materialise = materialise
+        self._buffer = buffer
+
+    def take_buffer(self) -> Optional[np.ndarray]:
+        """The Fortran-ordered buffer, handed out once for in-place use."""
+        buffer, self._buffer = self._buffer, None
+        return buffer
+
+    @cached_property
+    def T(self) -> np.ndarray:
+        """The C-ordered ``T``, built on first access."""
+        return self._materialise()
+
+
 class DenseTransientOperator(TransientOperator):
-    """Dense ``numpy``/``scipy.linalg`` backend (ground truth for small chains)."""
+    """Dense ``numpy``/``scipy.linalg`` backend (ground truth for small chains).
+
+    ``T`` is a matrix or a :class:`DenseTransientBlock`.  The first
+    :meth:`solve` factors the block's buffer in place, or a Fortran-ordered
+    copy of the matrix (the copy ``lu_factor`` would otherwise make).
+    """
 
     name = "dense"
 
-    def __init__(self, T: np.ndarray) -> None:
-        T = np.asarray(T, dtype=float)
-        if T.ndim != 2 or T.shape[0] != T.shape[1]:
-            raise ValueError("T must be square")
+    def __init__(self, T: Union[np.ndarray, DenseTransientBlock]) -> None:
+        if not isinstance(T, DenseTransientBlock):
+            T = np.asarray(T, dtype=float)
+            if T.ndim != 2 or T.shape[0] != T.shape[1]:
+                raise ValueError("T must be square")
+            T = DenseTransientBlock(T.shape[0], lambda matrix=T: matrix)
         # One BLAS thread: a threaded LU reorders its reductions, and every
         # dense result must be the same bits on any machine.
         pin_blas_threads()
-        self._T = T
+        self._block = T
         self._lu: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._lu_t: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
+    def _T(self) -> np.ndarray:
+        return self._block.T
+
+    @property
     def order(self) -> int:
-        return int(self._T.shape[0])
+        return self._block.order
 
     def to_dense(self) -> np.ndarray:
         return np.array(self._T, copy=True)
@@ -194,33 +239,37 @@ class DenseTransientOperator(TransientOperator):
         return self._T.T @ v
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        # check_finite=False skips a full-matrix validation scan, nothing
-        # more: generators are finite by construction (sums of finite rates),
-        # and _finite_or_fallback still catches a degenerate factorisation.
         if self._lu is None:
-            self._lu = sla.lu_factor(self._T, check_finite=False)
+            buffer = self._block.take_buffer()
+            if buffer is None:
+                buffer = np.array(self._T, order="F")
+            # check_finite=False skips a full-matrix validation scan, nothing
+            # more: generators are finite by construction (sums of finite
+            # rates), and _finite_or_fallback still catches a degenerate
+            # factorisation.  The buffer is ours: getrf overwrites it.
+            self._lu = sla.lu_factor(buffer, overwrite_a=True,
+                                     check_finite=False)
         return self._finite_or_fallback(
-            sla.lu_solve(self._lu, b, check_finite=False), self._T, b)
+            sla.lu_solve(self._lu, b, check_finite=False), b, transpose=False)
 
     def solve_transpose(self, b: np.ndarray) -> np.ndarray:
         if self._lu_t is None:
             self._lu_t = sla.lu_factor(self._T.T, check_finite=False)
         return self._finite_or_fallback(
-            sla.lu_solve(self._lu_t, b, check_finite=False), self._T.T, b)
+            sla.lu_solve(self._lu_t, b, check_finite=False), b, transpose=True)
 
-    @staticmethod
-    def _finite_or_fallback(x: np.ndarray, A: np.ndarray,
-                            b: np.ndarray) -> np.ndarray:
+    def _finite_or_fallback(self, x: np.ndarray, b: np.ndarray, *,
+                            transpose: bool) -> np.ndarray:
         """Route singular systems through solve_linear's diagnosable fallback.
 
         ``lu_solve`` on a singular factorisation returns inf/nan with only
         LAPACK's terse zero-diagonal warning; a singular transient block means
         a malformed generator, which solve_linear reports with condition
-        context before least-squares-solving.
+        context before least-squares-solving.  Only then is ``T`` needed.
         """
         if np.all(np.isfinite(x)):
             return x
-        return solve_linear(A, b)
+        return solve_linear(self._T.T if transpose else self._T, b)
 
     def expm_states(self, alpha: np.ndarray, times: np.ndarray) -> np.ndarray:
         flat = np.atleast_1d(np.asarray(times, dtype=float))
@@ -361,16 +410,22 @@ class SparseTransientOperator(TransientOperator):
         return out
 
 
-def as_operator(T: MatrixLike, backend: str = "auto") -> TransientOperator:
+def as_operator(T: Union[MatrixLike, DenseTransientBlock],
+                backend: str = "auto") -> TransientOperator:
     """Wrap a sub-generator in the matching :class:`TransientOperator`.
 
     With ``backend="auto"`` the storage format decides: an already-sparse
-    matrix stays sparse, a dense array follows :func:`select_backend`'s
-    size policy.  Forcing ``"dense"`` or ``"sparse"`` converts as needed.
+    matrix stays sparse, a dense array or block follows
+    :func:`select_backend`'s size policy.  Forcing ``"dense"`` or
+    ``"sparse"`` converts as needed.
     """
     if isinstance(T, TransientOperator):
         return T
     check_backend_name(backend)
+    if isinstance(T, DenseTransientBlock):
+        if select_backend(T.order, backend) == "dense":
+            return DenseTransientOperator(T)
+        T = T.T
     if sparse.issparse(T):
         if backend == "dense":
             return DenseTransientOperator(T.toarray())

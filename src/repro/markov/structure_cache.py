@@ -29,17 +29,19 @@ Both refill paths reproduce the legacy builders *exactly*:
   ``coo_matrix(...).tocsr()`` duplicate-summing conversion, so the CSR
   ``data``/``indices``/``indptr`` are bit-for-bit those of the uncached
   builder.
-* :meth:`fill_dense` scatter-accumulates the same entries (a ``bincount`` over
-  the flattened matrix, summing duplicates in entry order) and then applies
-  the *verbatim* diagonal ops of
-  :func:`~repro.markov.generator.build_generator`.  Distinct rules never
-  collide on a ``(row, col)`` cell (they change the popcount by +1, −1 and −2
-  respectively), and the only duplicates — the per-partner R3 contributions —
-  are recorded in ascending-partner order, the order the dense builder's
-  ``sum(pair_rate(i, j) for j in zeros)`` accumulates them in.  Left-to-right
-  float addition from 0.0 is the same in both, so the scattered ``H`` equals
-  the loop-built ``H`` bit for bit (pinned by tests/markov/
-  test_structure_cache.py).
+* :meth:`fill_dense` sums the entries of each ``(row, col)`` cell in entry
+  order (a ``bincount``), the loop builder's left-to-right accumulation:
+  distinct rules never collide on a cell (they change the popcount by +1,
+  −1 and −2 respectively), and the only duplicates — the per-partner R3
+  contributions — are recorded in ascending-partner order, the order the
+  dense builder's ``sum(pair_rate(i, j) for j in zeros)`` adds them in.
+  The diagonal is the builder's verbatim ``-H.sum(axis=1)``, taken on a
+  full ``(2^n + 1)²`` scratch ``H`` the structure keeps: numpy sums each
+  row pairwise, so only the same full row gives the same bits.  The
+  transient block ``T`` then goes into one Fortran-ordered buffer that the
+  dense operator factors in place, and its C-ordered copy is rebuilt from
+  the same cell values only when a reader asks for the matrix (pinned by
+  tests/markov/test_structure_cache.py and test_dense_block.py).
 
 The memo key covers the full upper-triangle zero-pattern of the pair rates, so
 a sweep cell that *zeroes* (or un-zeroes) an interaction misses the cache and
@@ -49,6 +51,7 @@ builders emit R1/R4 entries unconditionally, even for ``μ_i = 0``).
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
@@ -57,6 +60,8 @@ import numpy as np
 from scipy import sparse
 
 from repro.core.parameters import SystemParameters
+from repro.markov.ctmc import check_sub_generator
+from repro.markov.operators import DenseTransientBlock
 from repro.markov.state_space import AsyncStateSpace
 
 __all__ = [
@@ -92,8 +97,10 @@ class GeneratorStructure:
     """Rates-independent structure of the generator ``H`` for one zero-pattern.
 
     The index arrays are immutable after construction and safe to share
-    across refills (only the :meth:`fill_dense_shared` scratch buffer
-    mutates, see its docstring); obtain instances through
+    across refills; only :meth:`fill_dense`'s scratch ``H`` mutates, under
+    a lock, and nothing it returns refers to it.  Structures are
+    process-local (the cache is never shared across workers).  Obtain
+    instances through
     :func:`structure_for` (memoized) rather than constructing directly.
     """
 
@@ -164,11 +171,23 @@ class GeneratorStructure:
         #: the exact COO layout build_generator_sparse hands to coo_matrix.
         self.row_with_diag = np.concatenate([self.row, diag])
         self.col_with_diag = np.concatenate([self.col, diag])
-        #: Flattened (row-major) cell index of every COO entry, for the dense
-        #: bincount scatter.
-        self.linear = self.row * m + self.col
-        # Scratch matrix for fill_dense_shared, allocated on first use.
+        # The distinct (row, col) cells of H, flattened row-major, and the
+        # cell each COO entry adds into (duplicates: the per-partner R3
+        # entries).
+        self._cells, self._cell_of_entry = np.unique(
+            self.row * m + self.col, return_inverse=True)
+        # Cells of the transient block T = H[:k, :k]: its row, and its flat
+        # index in C (row-major) and Fortran (column-major) order.
+        k = space.n_transient
+        cell_row, cell_col = np.divmod(self._cells, m)
+        self._transient = cell_col < k
+        self._t_row = cell_row[self._transient]
+        t_col = cell_col[self._transient]
+        self._t_flat_c = self._t_row * k + t_col
+        self._t_flat_f = t_col * k + self._t_row
+        # Scratch H for fill_dense's row sums, allocated on first use.
         self._dense_scratch: np.ndarray | None = None
+        self._scratch_lock = threading.Lock()
 
     # ------------------------------------------------------------------ refill
     def fill_values(self, params: SystemParameters) -> np.ndarray:
@@ -197,48 +216,52 @@ class GeneratorStructure:
             (full_val, (self.row_with_diag, self.col_with_diag)),
             shape=(self.m, self.m)).tocsr()
 
-    def fill_dense(self, params: SystemParameters) -> np.ndarray:
-        """Dense ``H`` — bit-identical to the loop-built ``build_generator``."""
-        val = self.fill_values(params)
-        m = self.m
-        # Scatter-accumulate over the flattened matrix.  bincount adds the
-        # duplicate contributions sequentially in entry order — the same
-        # left-to-right float accumulation as the loop builder's per-state
-        # ``sum`` (and as np.add.at), just without the per-element dispatch.
-        H = np.bincount(self.linear, weights=val,
-                        minlength=m * m).reshape(m, m)
-        return self._finish_dense(H)
+    def fill_dense(self, params: SystemParameters) -> DenseTransientBlock:
+        """The transient block ``T`` of ``H`` — bit-identical to the block of
+        the loop-built ``build_generator`` — as a validated
+        :class:`~repro.markov.operators.DenseTransientBlock`.
 
-    def fill_dense_shared(self, params: SystemParameters) -> np.ndarray:
-        """Dense ``H`` in a scratch buffer *owned by the structure*.
-
-        Same bits as :meth:`fill_dense` (``np.add.at`` accumulates the
-        duplicate entries in the same sequential order as the bincount and
-        the loop builder), but the returned array is reused by the next call
-        on this structure — it spares a multi-MB allocation per sweep cell.
-        Callers must copy (or finish consuming) the buffer before refilling;
-        :func:`~repro.markov.generator.build_phase_type` qualifies because
-        :class:`~repro.markov.ctmc.PhaseType` makes a defensive copy of ``T``
-        up front.  Structures are process-local (the cache is never shared
-        across workers), so the single scratch matches the evaluators'
-        in-process serial assembly.
+        The block's one ``k × k`` array is a Fortran-ordered buffer the dense
+        operator factors in place; the C-ordered ``T`` is rebuilt from the
+        same cell values only if a reader asks for it.  The structure's
+        scratch ``H`` is used, and free again, before this returns.
         """
-        H = self._dense_scratch
-        if H is None or H.shape[0] != self.m:
-            H = np.zeros((self.m, self.m), dtype=float)
-            self._dense_scratch = H
-        else:
-            H.fill(0.0)
-        np.add.at(H, (self.row, self.col), self.fill_values(params))
-        return self._finish_dense(H)
+        # Duplicate entries summed in entry order from 0.0: the loop
+        # builder's left-to-right ``sum`` over a state's R3 partners.
+        cell_val = np.bincount(self._cell_of_entry,
+                               weights=self.fill_values(params))
+        k = self.space.n_transient
+        with self._scratch_lock:        # threads share cached structures
+            H = self._dense_scratch
+            if H is None:
+                H = self._dense_scratch = np.zeros((self.m, self.m))
+            # Every fill writes the same cells, so the rest stays zero.
+            H.reshape(-1)[self._cells] = cell_val
+            # The diagonal is build_generator's verbatim ``-H.sum(axis=1)``
+            # on the same row contents: numpy sums each 2^n + 1 wide row
+            # pairwise, and only a full row reproduces that order.
+            diagonal = -H.sum(axis=1)[:k]
+        values = cell_val[self._transient]
+        check_sub_generator(
+            bool(values.size) and values.min() < -1e-9, diagonal,
+            np.bincount(self._t_row, weights=values, minlength=k) + diagonal)
+        buffer = self._transient_matrix(self._t_flat_f, values, diagonal).T
 
-    def _finish_dense(self, H: np.ndarray) -> np.ndarray:
-        # Verbatim diagonal ops of build_generator, on identical row contents.
-        m = self.m
-        np.fill_diagonal(H, 0.0)
-        H[np.arange(m), np.arange(m)] = -H.sum(axis=1)
-        H[self.space.absorbing_index, :] = 0.0
-        return H
+        def materialise() -> np.ndarray:
+            T = self._transient_matrix(self._t_flat_c, values, diagonal)
+            T.setflags(write=False)
+            return T
+
+        return DenseTransientBlock(k, materialise, buffer)
+
+    def _transient_matrix(self, flat_index: np.ndarray, values: np.ndarray,
+                          diagonal: np.ndarray) -> np.ndarray:
+        k = self.space.n_transient
+        T = np.zeros(k * k)
+        T[flat_index] = values
+        T = T.reshape(k, k)
+        np.fill_diagonal(T, diagonal)
+        return T
 
 
 # ----------------------------------------------------------------------- memo

@@ -201,3 +201,46 @@ class TestMethodResolution:
         assert get_evaluator("mc").stochastic
         assert get_evaluator("des").stochastic
         assert not get_evaluator("analytic").stochastic
+
+
+class TestAnalyticPhases:
+    def test_structure_fill_runs_in_assembly_and_lu_in_solve(
+            self, monkeypatch):
+        """``--timing`` charges the chain's assembly (the structure fill)
+        to ``assembly`` and its factorisation to ``solve``."""
+        import contextlib
+
+        from scipy import linalg as sla
+
+        from repro import bench
+        from repro.markov.structure_cache import (GeneratorStructure,
+                                                  clear_structure_cache)
+
+        active, seen = [], {}
+        timed = bench.PhaseTimer.phase
+
+        @contextlib.contextmanager
+        def tracked(self, name):
+            active.append(name)
+            try:
+                with timed(self, name):
+                    yield
+            finally:
+                active.pop()
+
+        def spy(name, func):
+            def wrapper(*args, **kwargs):
+                seen.setdefault(name, list(active))
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(bench.PhaseTimer, "phase", tracked)
+        monkeypatch.setattr(GeneratorStructure, "fill_dense",
+                            spy("fill", GeneratorStructure.fill_dense))
+        monkeypatch.setattr(sla, "lu_factor", spy("lu", sla.lu_factor))
+        clear_structure_cache()
+        spec = StudySpec(system=SystemSpec.heterogeneous(
+            6, mu_gradient=2.0), metrics=("mean", "variance"))
+        with bench.collect_phases():
+            evaluate(spec, method="analytic")
+        assert seen == {"fill": ["assembly"], "lu": ["solve"]}

@@ -39,3 +39,25 @@ def test_interrupted_stochastic_sweep_resumes_from_finished_cells(tmp_path):
     assert [c.key for c in resumed.cells] == \
         [cell.canonical_key("mc") for cell in cells]
     assert len(store) == 4
+
+
+def test_results_are_encoded_only_for_the_store(tmp_path, monkeypatch):
+    """A cell's result rows are built for a ``put`` (or a service cache
+    entry), never for a caller that reads the evaluation itself."""
+    from repro.api.evaluation import Evaluation
+
+    encoded = []
+    encode = Evaluation.to_experiment_result
+
+    def counting(self):
+        encoded.append(self)
+        return encode(self)
+
+    monkeypatch.setattr(Evaluation, "to_experiment_result", counting)
+    sweep = StudySpec(system=SystemSpec.symmetric(3, 1.0, 0.5),
+                      metrics=("mean",), sweep={"lam": (0.25, 0.5)})
+    evaluate_record(sweep, "analytic")
+    assert encoded == []
+    evaluate_record(sweep, "analytic",
+                    store=ResultStore(str(tmp_path / "store")))
+    assert len(encoded) == 2

@@ -115,6 +115,16 @@ class TestImportSets:
                                 for name in SCENARIO_MODULES]) == []
         assert "repro.api.strategy" in modules
 
+    def test_closed_form_strategy_cell_loads_no_markov_stack(self, tmp_path):
+        """A synchronized ``sync_loss`` cell is Section 3's closed form: it
+        loads the loss model, never the chain stack or scipy."""
+        spec = write_spec(tmp_path, "cell.json", {
+            "system": STRATEGY_SWEEP["system"], "metrics": ["sync_loss"]})
+        modules = modules_after(CLI, "eval", spec, "--method", "analytic")
+        assert "repro.analysis.synchronized_loss" in modules
+        assert loaded(modules, ("scipy", "repro.markov",
+                                "repro.analysis.rollback_distance")) == []
+
     def test_query_load_loads_no_numeric_stack(self, tmp_path):
         spec = write_spec(tmp_path, "cell.json", ANALYTIC_CELL)
         store = str(tmp_path / "store")
