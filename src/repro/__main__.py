@@ -474,6 +474,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         print(f"[evaluation written to {args.output}]")
     if timing_report is not None:
         print()
+        # The LAPACK a dense solve ran on, when this process bound one: a hex
+        # diff between two machines can then be traced to its BLAS build.
+        blas = sys.modules.get("repro.util.blas")
+        if blas is not None:
+            print("[lapack] " + " ".join(f"{key}={value}" for key, value
+                                         in blas.numerics().items()))
         print(timing_report)
     return 0
 

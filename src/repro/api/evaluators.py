@@ -76,6 +76,12 @@ _STOCHASTIC_UNSUPPORTED = frozenset({"pdf"})
 #: chain (the count metrics need full-chain occupancy).
 _LUMPED_METRICS = frozenset({"mean", "variance", "std", "pdf", "cdf", "sf"})
 
+#: Largest ``n`` whose full chain the ``auto`` backend runs dense: its
+#: ``2^n`` transient states are at most
+#: :data:`repro.markov.operators.DENSE_STATE_LIMIT` (named here without
+#: importing the chain stack; a test pins the two together).
+_DENSE_FULL_CHAIN_MAX_N = 9
+
 #: Metrics the phase-type *approximation* of a non-exponential failure law
 #: cannot serve: the per-process count/completion quantities come from the
 #: split-chain occupancy analysis, which is specific to the exponential
@@ -201,16 +207,28 @@ class AnalyticEvaluator(Evaluator):
     systems — the Section 3 closed forms of the synchronized scheme."""
 
     name = "analytic"
+    #: A dense cell: the chain stack and the LAPACK binding, no scipy.
     modules = ("repro.markov.recovery_line_interval",
-               "repro.workloads.generators")
+               "repro.workloads.generators", "repro.util.blas")
     #: The Section 3 closed forms of a ``strategy`` cell: no Markov chain.
     closed_form_modules = ("repro.api.strategy",
                            "repro.analysis.synchronized_loss",
                            "repro.workloads.generators")
 
     def modules_for(self, spec: StudySpec) -> Tuple[str, ...]:
-        return self.closed_form_modules if spec.system.kind == "strategy" \
-            else self.modules
+        """The dense cell's modules, plus scipy where the cell's path calls
+        it: the sparse backend, the matrix exponential behind a distribution
+        and the phase-type fit of a non-exponential failure law."""
+        if spec.system.kind == "strategy":
+            return self.closed_form_modules
+        modules = self.modules
+        if _runs_sparse(spec):
+            modules += ("scipy.sparse", "scipy.sparse.linalg")
+        if spec.times and any(spec.wants(m) for m in ("pdf", "cdf", "sf")):
+            modules += ("scipy.linalg",)
+        if spec.system.failure_law != "exponential":
+            modules += ("repro.markov.phfit",)
+        return modules
 
     def validate(self, spec: StudySpec) -> None:
         if spec.system.kind == "strategy":
@@ -502,6 +520,20 @@ def load_engine(method: str, spec: StudySpec) -> None:
         with _phase("import"):
             for name in missing:
                 import_module(name)
+
+
+def _runs_sparse(spec: StudySpec) -> bool:
+    """Whether an analytic cell may take the sparse backend (read from the
+    spec alone: building the system would import what is being planned)."""
+    backend = spec.options.get("backend", "auto")
+    if backend != "auto":
+        return backend == "sparse"
+    if spec.system.n <= _DENSE_FULL_CHAIN_MAX_N:
+        return False
+    lumped = bool(spec.options.get("prefer_simplified", True)) \
+        and spec.system.kind in ("symmetric", "heterogeneous") \
+        and _system_is_symmetric(spec.system)
+    return not (lumped and _LUMPED_METRICS.issuperset(spec.metrics))
 
 
 def _system_is_symmetric(system: SystemSpec) -> bool:

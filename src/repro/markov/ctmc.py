@@ -26,13 +26,16 @@ an independent cross-check of the matrix-exponential path in the ablation bench.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 import numpy as np
-from scipy import sparse
 
 from repro.markov.operators import (DenseTransientBlock, TransientOperator,
                                     as_operator)
+from repro.util.linalg import issparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["PhaseType", "check_sub_generator", "transient_distribution"]
 
@@ -70,7 +73,8 @@ class PhaseType:
             raise ValueError("alpha must be a probability vector")
         if isinstance(T, DenseTransientBlock):
             order = T.order
-        elif sparse.issparse(T):
+        elif issparse(T):
+            from scipy import sparse
             T = sparse.csr_matrix(T, copy=True)
             if T.shape[0] != T.shape[1]:
                 raise ValueError("T must be square")
@@ -115,7 +119,7 @@ class PhaseType:
     @property
     def is_sparse(self) -> bool:
         """Whether ``T`` is stored (and evaluated) sparsely."""
-        return sparse.issparse(self._T)
+        return issparse(self._T)
 
     @cached_property
     def operator(self) -> TransientOperator:
@@ -313,7 +317,7 @@ def transient_distribution(H: Union[np.ndarray, sparse.spmatrix],
     requested time.  This is the formulation the paper writes down explicitly; the
     phase-type machinery above is the closed-form equivalent.
     """
-    if sparse.issparse(H):
+    if issparse(H):
         Ht = H.T.tocsr()
     else:
         H = np.asarray(H, dtype=float)

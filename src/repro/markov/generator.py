@@ -28,15 +28,17 @@ accounted for by the uniformised chain ``Y_d`` when counting recovery points
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.parameters import SystemParameters
 from repro.markov.ctmc import PhaseType
 from repro.markov.operators import select_backend
 from repro.markov.state_space import AsyncStateSpace
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["build_generator", "build_generator_sparse", "build_phase_type",
            "transition_rate"]
@@ -175,6 +177,7 @@ def build_generator_sparse(params: SystemParameters
     row = np.concatenate([row, np.arange(m)])
     col = np.concatenate([col, np.arange(m)])
     val = np.concatenate([val, diag])
+    from scipy import sparse
     H = sparse.coo_matrix((val, (row, col)), shape=(m, m)).tocsr()
     return H, space
 

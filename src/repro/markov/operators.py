@@ -12,8 +12,10 @@ The analytic stack evaluates three kinds of expressions against ``T``:
 implement it:
 
 :class:`DenseTransientOperator`
-    The ground truth for small chains: ``scipy.linalg.expm`` with a cached
-    uniform-grid step matrix, and cached LU factorisations for the solves.
+    The ground truth for small chains: cached LU factorisations for the
+    solves (LAPACK ``getrf``/``getrs`` bound by :mod:`repro.util.blas`, no
+    scipy import) and ``scipy.linalg.expm`` with a cached uniform-grid step
+    matrix for propagation.
 
 :class:`SparseTransientOperator`
     CSR storage with Krylov propagation (``scipy.sparse.linalg.expm_multiply``
@@ -38,15 +40,15 @@ from __future__ import annotations
 
 import warnings
 from functools import cached_property
-from typing import Callable, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
 
 import numpy as np
-from scipy import linalg as sla
-from scipy import sparse
-from scipy.sparse import linalg as spla
 
-from repro.util.blas import pin_blas_threads
-from repro.util.linalg import solve_linear
+from repro.util import blas
+from repro.util.linalg import issparse, solve_linear
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "BACKEND_NAMES",
@@ -80,7 +82,9 @@ _KRYLOV_RTOL = 1e-12
 #: iteration regularly stagnates between the two on stiff chains).
 _KRYLOV_ACCEPT = 1e-9
 
-MatrixLike = Union[np.ndarray, sparse.spmatrix]
+#: A dense array or any ``scipy.sparse`` matrix.  scipy is imported where a
+#: sparse path computes: no sparse matrix exists before it is.
+MatrixLike = Union[np.ndarray, "sparse.spmatrix"]
 
 
 #: Valid backend requests — the single owner of the name contract.
@@ -170,12 +174,14 @@ class DenseTransientBlock:
 
     The structure-cached assembly hands over ``buffer``: ``T``'s values in
     Fortran order, the layout LAPACK's ``getrf`` factors in place, so the
-    first dense solve consumes it with no copy.  The C-ordered matrix that
-    every other reader needs (``matvec``, ``expm``, the transpose solves,
-    :attr:`PhaseType.T <repro.markov.ctmc.PhaseType.T>`) comes from
-    ``materialise``, which rebuilds it from the recipe that filled the
-    buffer, so it holds the same bits before and after the buffer was
-    factored.  A mean/variance evaluation never asks for it.
+    first dense solve consumes it with no copy.  ``materialise`` rebuilds a
+    fresh, writable C-ordered ``T`` from the recipe that filled the buffer,
+    so it holds the same bits before and after the buffer was factored.
+    The transpose solves factor one such array in place (its memory is
+    ``Tᵀ`` in Fortran order); every other reader of the matrix (``matvec``,
+    ``expm``, :attr:`PhaseType.T <repro.markov.ctmc.PhaseType.T>`) shares
+    the read-only :attr:`T`.  A mean/variance evaluation never asks for
+    either.
 
     The producer validates the values (see
     :meth:`repro.markov.structure_cache.GeneratorStructure.fill_dense`).
@@ -184,8 +190,15 @@ class DenseTransientBlock:
     def __init__(self, order: int, materialise: Callable[[], np.ndarray],
                  buffer: Optional[np.ndarray] = None) -> None:
         self.order = int(order)
-        self._materialise = materialise
+        self.materialise = materialise
         self._buffer = buffer
+
+    @classmethod
+    def of_matrix(cls, T: np.ndarray) -> "DenseTransientBlock":
+        """A block over a caller's square matrix, read as it is."""
+        block = cls(T.shape[0], lambda: np.array(T, order="C"))
+        block.T = T                     # fills the cached property
+        return block
 
     def take_buffer(self) -> Optional[np.ndarray]:
         """The Fortran-ordered buffer, handed out once for in-place use."""
@@ -194,16 +207,21 @@ class DenseTransientBlock:
 
     @cached_property
     def T(self) -> np.ndarray:
-        """The C-ordered ``T``, built on first access."""
-        return self._materialise()
+        """The read-only C-ordered ``T``, built on first access."""
+        T = self.materialise()
+        T.setflags(write=False)
+        return T
 
 
 class DenseTransientOperator(TransientOperator):
-    """Dense ``numpy``/``scipy.linalg`` backend (ground truth for small chains).
+    """Dense backend (ground truth for small chains).
 
-    ``T`` is a matrix or a :class:`DenseTransientBlock`.  The first
-    :meth:`solve` factors the block's buffer in place, or a Fortran-ordered
-    copy of the matrix (the copy ``lu_factor`` would otherwise make).
+    ``T`` is a matrix or a :class:`DenseTransientBlock`.  The solves run
+    LAPACK's ``getrf``/``getrs`` through :mod:`repro.util.blas`: the first
+    :meth:`solve` factors the block's buffer in place (a matrix gets a
+    Fortran-ordered copy, the copy ``scipy.linalg.lu_factor`` would make),
+    the first :meth:`solve_transpose` a freshly materialised C-ordered
+    ``T``.  Only :meth:`expm_states` imports ``scipy.linalg``.
     """
 
     name = "dense"
@@ -213,10 +231,10 @@ class DenseTransientOperator(TransientOperator):
             T = np.asarray(T, dtype=float)
             if T.ndim != 2 or T.shape[0] != T.shape[1]:
                 raise ValueError("T must be square")
-            T = DenseTransientBlock(T.shape[0], lambda matrix=T: matrix)
+            T = DenseTransientBlock.of_matrix(T)
         # One BLAS thread: a threaded LU reorders its reductions, and every
         # dense result must be the same bits on any machine.
-        pin_blas_threads()
+        blas.pin_blas_threads()
         self._block = T
         self._lu: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._lu_t: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -243,26 +261,26 @@ class DenseTransientOperator(TransientOperator):
             buffer = self._block.take_buffer()
             if buffer is None:
                 buffer = np.array(self._T, order="F")
-            # check_finite=False skips a full-matrix validation scan, nothing
-            # more: generators are finite by construction (sums of finite
-            # rates), and _finite_or_fallback still catches a degenerate
-            # factorisation.  The buffer is ours: getrf overwrites it.
-            self._lu = sla.lu_factor(buffer, overwrite_a=True,
-                                     check_finite=False)
+            # No finiteness scan: generators are finite by construction
+            # (sums of finite rates), and _finite_or_fallback still catches
+            # a degenerate factorisation.  The buffer is ours to overwrite.
+            self._lu = blas.lu_factor(buffer)
         return self._finite_or_fallback(
-            sla.lu_solve(self._lu, b, check_finite=False), b, transpose=False)
+            blas.lu_solve(self._lu, b), b, transpose=False)
 
     def solve_transpose(self, b: np.ndarray) -> np.ndarray:
         if self._lu_t is None:
-            self._lu_t = sla.lu_factor(self._T.T, check_finite=False)
+            # A fresh C-ordered T is Tᵀ in Fortran order: the very input
+            # lu_factor(T.T) copies T into, factored here without the copy.
+            self._lu_t = blas.lu_factor(self._block.materialise().T)
         return self._finite_or_fallback(
-            sla.lu_solve(self._lu_t, b, check_finite=False), b, transpose=True)
+            blas.lu_solve(self._lu_t, b), b, transpose=True)
 
     def _finite_or_fallback(self, x: np.ndarray, b: np.ndarray, *,
                             transpose: bool) -> np.ndarray:
         """Route singular systems through solve_linear's diagnosable fallback.
 
-        ``lu_solve`` on a singular factorisation returns inf/nan with only
+        ``getrs`` on a singular factorisation returns inf/nan with only
         LAPACK's terse zero-diagonal warning; a singular transient block means
         a malformed generator, which solve_linear reports with condition
         context before least-squares-solving.  Only then is ``T`` needed.
@@ -272,6 +290,8 @@ class DenseTransientOperator(TransientOperator):
         return solve_linear(self._T.T if transpose else self._T, b)
 
     def expm_states(self, alpha: np.ndarray, times: np.ndarray) -> np.ndarray:
+        from scipy import linalg as sla
+
         flat = np.atleast_1d(np.asarray(times, dtype=float))
         alpha = np.asarray(alpha, dtype=float)
         out = np.empty((flat.size, self.order))
@@ -296,6 +316,7 @@ class SparseTransientOperator(TransientOperator):
     name = "sparse"
 
     def __init__(self, T: MatrixLike, *, lu_limit: int = SPARSE_LU_LIMIT) -> None:
+        from scipy import sparse
         T = sparse.csr_matrix(T)
         if T.shape[0] != T.shape[1]:
             raise ValueError("T must be square")
@@ -326,6 +347,8 @@ class SparseTransientOperator(TransientOperator):
 
     # ------------------------------------------------------------------ solves
     def solve(self, b: np.ndarray) -> np.ndarray:
+        from scipy.sparse import linalg as spla
+
         if self.order <= self._lu_limit:
             if self._lu is None:
                 try:
@@ -338,6 +361,8 @@ class SparseTransientOperator(TransientOperator):
         return self._krylov_solve(self._T, b)
 
     def solve_transpose(self, b: np.ndarray) -> np.ndarray:
+        from scipy.sparse import linalg as spla
+
         if self.order <= self._lu_limit:
             if self._lu_t is None:
                 try:
@@ -355,6 +380,8 @@ class SparseTransientOperator(TransientOperator):
         large orders, while the strictly negative, dominant diagonal makes a
         Jacobi-preconditioned Krylov iteration converge in a handful of steps.
         """
+        from scipy.sparse import linalg as spla
+
         b = np.asarray(b, dtype=float)
         b_norm = float(np.linalg.norm(b))
         if b_norm == 0.0:
@@ -385,6 +412,8 @@ class SparseTransientOperator(TransientOperator):
 
     # ------------------------------------------------------------- propagation
     def expm_states(self, alpha: np.ndarray, times: np.ndarray) -> np.ndarray:
+        from scipy.sparse import linalg as spla
+
         flat = np.atleast_1d(np.asarray(times, dtype=float))
         alpha = np.asarray(alpha, dtype=float)
         out = np.empty((flat.size, self.order))
@@ -426,12 +455,12 @@ def as_operator(T: Union[MatrixLike, DenseTransientBlock],
         if select_backend(T.order, backend) == "dense":
             return DenseTransientOperator(T)
         T = T.T
-    if sparse.issparse(T):
+    if issparse(T):
         if backend == "dense":
             return DenseTransientOperator(T.toarray())
         return SparseTransientOperator(T)
     T = np.asarray(T, dtype=float)
     if backend == "sparse" or (backend == "auto"
                                and T.shape[0] > DENSE_STATE_LIMIT):
-        return SparseTransientOperator(sparse.csr_matrix(T))
+        return SparseTransientOperator(T)
     return DenseTransientOperator(T)

@@ -54,15 +54,17 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.parameters import SystemParameters
 from repro.markov.ctmc import check_sub_generator
 from repro.markov.operators import DenseTransientBlock
 from repro.markov.state_space import AsyncStateSpace
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "GeneratorStructure",
@@ -207,6 +209,8 @@ class GeneratorStructure:
 
     def refill_sparse(self, params: SystemParameters) -> sparse.csr_matrix:
         """``H`` in CSR form — bit-identical to ``build_generator_sparse``."""
+        from scipy import sparse
+
         val = self.fill_values(params)
         # Diagonal = negative off-diagonal row sums; the absorbing row has no
         # entries, so its diagonal is 0 and the row stays identically zero.
@@ -246,13 +250,9 @@ class GeneratorStructure:
             bool(values.size) and values.min() < -1e-9, diagonal,
             np.bincount(self._t_row, weights=values, minlength=k) + diagonal)
         buffer = self._transient_matrix(self._t_flat_f, values, diagonal).T
-
-        def materialise() -> np.ndarray:
-            T = self._transient_matrix(self._t_flat_c, values, diagonal)
-            T.setflags(write=False)
-            return T
-
-        return DenseTransientBlock(k, materialise, buffer)
+        return DenseTransientBlock(
+            k, lambda: self._transient_matrix(self._t_flat_c, values,
+                                              diagonal), buffer)
 
     def _transient_matrix(self, flat_index: np.ndarray, values: np.ndarray,
                           diagonal: np.ndarray) -> np.ndarray:

@@ -24,13 +24,18 @@ from typing import Callable, Dict, List, Optional
 
 # The pool's workers fork from the service, so the worker-side modules of
 # every engine load here, once, instead of in each worker on its first batch:
-# the analytic and mc engines (which load on first plan elsewhere), the
+# the analytic and mc engines (which load on first plan elsewhere) with the
+# LAPACK binding and the scipy modules of the sparse and expm paths, the
 # strategy engine (registered on first use) with its runtimes, and the
 # system builders behind SystemSpec.build.
+import scipy.linalg  # noqa: F401
+import scipy.sparse.linalg  # noqa: F401
+
 import repro.api.strategy  # noqa: F401
 import repro.markov.montecarlo  # noqa: F401
 import repro.markov.recovery_line_interval  # noqa: F401
 import repro.recovery  # noqa: F401
+import repro.util.blas  # noqa: F401
 import repro.workloads.generators  # noqa: F401
 from repro.api.execute import BatchCell, ExecutedCell, execute_cells
 

@@ -2,21 +2,26 @@
 
 Small, well-tested wrappers around numpy/scipy used by :mod:`repro.markov`:
 validation of generator matrices, embedding of a CTMC into a DTMC (uniformisation),
-and fundamental-matrix computations for absorbing chains.
+and fundamental-matrix computations for absorbing chains.  ``scipy.sparse`` is
+imported only where a sparse matrix is handled: none can exist before it is
+(see :func:`issparse`).
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
-from typing import Tuple, Union
+from typing import TYPE_CHECKING, Tuple, Union
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import linalg as spla
 
 from repro.util.blas import pin_blas_threads
 
+if TYPE_CHECKING:
+    from scipy import sparse
+
 __all__ = [
+    "issparse",
     "is_generator_matrix",
     "uniformization_rate",
     "embed_dtmc",
@@ -25,6 +30,13 @@ __all__ = [
     "absorption_probabilities",
     "fundamental_matrix",
 ]
+
+
+def issparse(A: object) -> bool:
+    """``scipy.sparse.issparse`` without importing scipy: before
+    ``scipy.sparse`` is imported no sparse matrix can exist."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(A)
 
 
 def is_generator_matrix(Q: np.ndarray, atol: float = 1e-9) -> bool:
@@ -103,7 +115,8 @@ def solve_linear(A: Union[np.ndarray, sparse.spmatrix],
     condition context instead of silently returning the least-squares answer.
     """
     b = np.asarray(b, dtype=float)
-    if sparse.issparse(A):
+    if issparse(A):
+        from scipy.sparse import linalg as spla
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", spla.MatrixRankWarning)
@@ -132,7 +145,9 @@ def fundamental_matrix(P_transient: np.ndarray) -> np.ndarray:
     the expected number of visits to transient state ``u`` before absorption when
     starting in ``s`` (counting the initial occupancy of ``s``).
     """
-    if sparse.issparse(P_transient):
+    if issparse(P_transient):
+        from scipy import sparse
+        from scipy.sparse import linalg as spla
         n = P_transient.shape[0]
         if P_transient.shape[1] != n:
             raise ValueError("transient block must be square")
@@ -152,7 +167,8 @@ def expected_visits_absorbing(P_transient: np.ndarray, start: int) -> np.ndarray
     Equivalent to the row of the fundamental matrix for *start*, computed without
     forming the whole inverse.
     """
-    if sparse.issparse(P_transient):
+    if issparse(P_transient):
+        from scipy import sparse
         n = P_transient.shape[0]
         system = sparse.identity(n, format="csr") - P_transient.T
     else:

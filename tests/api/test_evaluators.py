@@ -210,11 +210,10 @@ class TestAnalyticPhases:
         to ``assembly`` and its factorisation to ``solve``."""
         import contextlib
 
-        from scipy import linalg as sla
-
         from repro import bench
         from repro.markov.structure_cache import (GeneratorStructure,
                                                   clear_structure_cache)
+        from repro.util import blas
 
         active, seen = [], {}
         timed = bench.PhaseTimer.phase
@@ -237,10 +236,52 @@ class TestAnalyticPhases:
         monkeypatch.setattr(bench.PhaseTimer, "phase", tracked)
         monkeypatch.setattr(GeneratorStructure, "fill_dense",
                             spy("fill", GeneratorStructure.fill_dense))
-        monkeypatch.setattr(sla, "lu_factor", spy("lu", sla.lu_factor))
+        monkeypatch.setattr(blas, "lu_factor", spy("lu", blas.lu_factor))
         clear_structure_cache()
         spec = StudySpec(system=SystemSpec.heterogeneous(
             6, mu_gradient=2.0), metrics=("mean", "variance"))
         with bench.collect_phases():
             evaluate(spec, method="analytic")
         assert seen == {"fill": ["assembly"], "lu": ["solve"]}
+
+
+class TestAnalyticModules:
+    """The analytic engine names scipy only for cells whose path calls it."""
+
+    SCIPY_SPARSE = ("scipy.sparse", "scipy.sparse.linalg")
+
+    def test_dense_limit_matches_the_backend_policy(self):
+        from repro.api.evaluators import _DENSE_FULL_CHAIN_MAX_N
+        from repro.markov.operators import DENSE_STATE_LIMIT
+        assert 2 ** _DENSE_FULL_CHAIN_MAX_N == DENSE_STATE_LIMIT
+
+    @pytest.mark.parametrize("spec, backend, scipy_modules", [
+        (StudySpec(system=SystemSpec.heterogeneous(9)), "dense", ()),
+        (StudySpec(system=SystemSpec.heterogeneous(10)), "sparse",
+         SCIPY_SPARSE),
+        (StudySpec(system=SystemSpec.heterogeneous(
+            6, mu_gradient=2.0), options={"backend": "sparse"}), "sparse",
+         SCIPY_SPARSE),
+        (StudySpec(system=SystemSpec.heterogeneous(
+            10, mu_gradient=2.0), options={"backend": "dense"}), "dense", ()),
+        (StudySpec(system=SystemSpec.symmetric(12, 1.0, 0.5)), "lumped", ()),
+        (StudySpec(system=SystemSpec.symmetric(11, 1.0, 0.5),
+                   metrics=("mean", "rp_counts")), "lumped", SCIPY_SPARSE),
+        (StudySpec(system=SystemSpec.heterogeneous(4), metrics=("pdf",),
+                   times=(0.5, 1.0)), "dense", ("scipy.linalg",)),
+    ], ids=["n9", "n10", "forced-sparse", "forced-dense", "lumped",
+            "lumped-counts", "pdf"])
+    def test_scipy_is_named_where_the_path_calls_it(self, spec, backend,
+                                                     scipy_modules):
+        modules = get_evaluator("analytic").modules_for(spec)
+        assert "repro.util.blas" in modules
+        assert tuple(m for m in modules if m.startswith("scipy")) \
+            == scipy_modules
+        assert evaluate(spec, method="analytic").backend == backend
+
+    def test_non_exponential_law_names_the_fitter(self):
+        spec = StudySpec(system=SystemSpec.from_dict({
+            "kind": "symmetric", "n": 3, "mu": 1.0, "lam": 0.5,
+            "failure_law": "weibull", "failure_shape": 2.0}))
+        assert "repro.markov.phfit" in \
+            get_evaluator("analytic").modules_for(spec)

@@ -5,8 +5,9 @@ Fortran-ordered buffer that the first solve factors in place; the C-ordered
 ``T`` is built only when a reader needs the matrix itself.  These tests pin
 that every consumer still gets the bits of the uncached build in either call
 order, that a mean/variance cell allocates one k × k array and makes one
-LU factorisation, that caller-supplied matrices keep their copy and
-checks, and that threads sharing a cached structure keep their bits.
+LU factorisation (a counts cell one more of each), that caller-supplied
+matrices keep their copy and checks, and that threads sharing a cached
+structure keep their bits.
 """
 
 import sys
@@ -15,7 +16,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import linalg as sla
 
 from repro.core.parameters import SystemParameters
 from repro.markov.ctmc import PhaseType
@@ -23,6 +23,7 @@ from repro.markov.generator import build_generator, build_phase_type
 from repro.markov.recovery_line_interval import RecoveryLineIntervalModel
 from repro.markov.structure_cache import (GeneratorStructure,
                                           clear_structure_cache, structure_for)
+from repro.util import blas
 from repro.workloads.generators import heterogeneous_parameters
 
 
@@ -114,7 +115,7 @@ class TestLeanCell:
             return wrapper
 
         for name in calls:
-            monkeypatch.setattr(sla, name, counting(name, getattr(sla, name)))
+            monkeypatch.setattr(blas, name, counting(name, getattr(blas, name)))
         # A first cell allocates the structure and its scratch; the second
         # cell, measured, is a sweep cell's steady state.
         build_phase_type(heterogeneous_n9(0.4)).mean()
@@ -135,6 +136,28 @@ class TestLeanCell:
         off = build_phase_type(params, structure_cache=False)
         assert mean.hex() == off.mean().hex()
         assert variance.hex() == off.variance().hex()
+
+    def test_counts_cell_factors_a_fresh_transpose_in_place(self):
+        """``rp_counts`` adds one transpose factorisation: a freshly filled
+        C-ordered ``T`` (``Tᵀ`` in Fortran order) factored in place, not the
+        shared ``T`` plus an LU copy of it."""
+        build_phase_type(heterogeneous_n9(0.4)).mean()
+        params = heterogeneous_n9(0.5)
+        block_bytes = 512 * 512 * 8
+        tracemalloc.start()
+        try:
+            cached = model(params, True)
+            cached.mean_interval(), cached.interval_variance()
+            counts = cached.expected_rp_counts()
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The factored buffer and the factored transpose: two k × k arrays.
+        assert peak <= 2.5 * block_bytes
+        off = model(params, False)
+        assert hexes(counts) == hexes(off.expected_rp_counts())
+        assert hexes(cached.completion_probabilities()) \
+            == hexes(off.completion_probabilities())
 
     def test_fill_validates_the_values(self, monkeypatch):
         params = heterogeneous_n9()

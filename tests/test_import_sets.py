@@ -104,6 +104,14 @@ class TestImportSets:
         assert loaded(modules, ("repro.api.strategy", "repro.recovery",
                                 "repro.sim", "repro.faults")) == []
 
+    def test_one_cell_analytic_eval_loads_no_scipy(self, tmp_path):
+        """A dense cell's LU runs on LAPACK bound from scipy's OpenBLAS
+        file; no scipy module is imported for it."""
+        spec = write_spec(tmp_path, "cell.json", ANALYTIC_CELL)
+        modules = modules_after(CLI, "eval", spec)
+        assert "repro.util.blas" in modules
+        assert loaded(modules, ("scipy",)) == []
+
     def test_cold_strategy_sweep(self, tmp_path):
         spec = write_spec(tmp_path, "sweep.json", STRATEGY_SWEEP)
         modules = modules_after(CLI, "eval", spec, "--method", "strategy",
@@ -232,6 +240,13 @@ class TestTimingImportRow:
         assert seconds["import"] > 0.0
         parts = sum(v for k, v in seconds.items() if k != "total")
         assert parts == pytest.approx(seconds["total"], abs=0.01)
+
+    def test_timing_names_the_lapack_it_ran_on(self, tmp_path):
+        spec = write_spec(tmp_path, "cell.json", ANALYTIC_CELL)
+        out = run_python(CLI, "eval", spec, "--timing")
+        line = out[:out.index("[timing]")].splitlines()[-1]
+        assert line.startswith("[lapack] binding=")
+        assert "threads=" in line and "config=" in line
 
 
 def _subpackage(module: str) -> str:
@@ -373,40 +388,68 @@ class TestEngineLoadsWhenPlanned:
         ``assembly``, ``solve`` or ``sim``."""
         analytic = write_spec(tmp_path, "analytic.json", ANALYTIC_SWEEP)
         strategy = write_spec(tmp_path, "strategy.json", STRATEGY_SWEEP)
-        out = run_python("""
-            import contextlib, json, sys
-            import repro.__main__
-            from repro.bench import PhaseTimer
-
-            active = []
-            timed = PhaseTimer.phase
-
-            @contextlib.contextmanager
-            def tracked(self, name):
-                active.append(name)
-                try:
-                    with timed(self, name):
-                        yield
-                finally:
-                    active.pop()
-
-            PhaseTimer.phase = tracked
-            phases = {}
-
-            class Spy:
-                def find_spec(self, name, path=None, target=None):
-                    phases.setdefault(name, list(active))
-                    return None
-
-            sys.meta_path.insert(0, Spy())
-            for spec in sys.argv[1:]:
-                assert repro.__main__.main(["eval", spec, "--timing"]) == 0
-            print(json.dumps(phases))
-        """, analytic, strategy)
-        phases = json.loads(out.splitlines()[-1])
-        engines = ("numpy", "scipy.sparse", "scipy.linalg",
+        phases, modules = import_phases(analytic, strategy)
+        engines = ("numpy", "repro.util.blas",
                    "repro.markov.recovery_line_interval", "repro.core",
                    "repro.recovery", "repro.sim.engine",
                    "repro.workloads.generators")
         for module in engines:
             assert phases[module] == ["import"], module
+        assert loaded(modules, ("scipy",)) == []
+
+    @pytest.mark.parametrize("extra, scipy_modules", [
+        ({"options": {"backend": "sparse"}},
+         ("scipy.sparse", "scipy.sparse.linalg")),
+        ({"metrics": ["mean", "pdf"], "times": [0.5, 1.0, 1.5]},
+         ("scipy.linalg",)),
+    ], ids=["sparse-backend", "pdf"])
+    def test_scipy_loads_in_the_import_phase_where_a_path_calls_it(
+            self, tmp_path, extra, scipy_modules):
+        """A sparse-backend cell loads ``scipy.sparse`` and a ``pdf`` cell
+        ``scipy.linalg`` (for ``expm``), both while the executor plans."""
+        spec = write_spec(tmp_path, "cell.json", {**ANALYTIC_CELL, **extra})
+        phases, _modules = import_phases(spec)
+        for module in scipy_modules:
+            assert phases[module] == ["import"], module
+
+
+#: Runs ``eval --timing`` on each spec file in argv, recording the phase that
+#: was active when each module was first looked up.
+PHASE_SPY = """
+import contextlib, json, sys
+import repro.__main__
+from repro.bench import PhaseTimer
+
+active = []
+timed = PhaseTimer.phase
+
+@contextlib.contextmanager
+def tracked(self, name):
+    active.append(name)
+    try:
+        with timed(self, name):
+            yield
+    finally:
+        active.pop()
+
+PhaseTimer.phase = tracked
+phases = {}
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        phases.setdefault(name, list(active))
+        return None
+
+sys.meta_path.insert(0, Spy())
+for spec in sys.argv[1:]:
+    assert repro.__main__.main(["eval", spec, "--timing"]) == 0
+print(json.dumps([phases, sorted(sys.modules)]))
+"""
+
+
+def import_phases(*specs: str):
+    """``(first-lookup phase per module, sys.modules)`` after evaluating
+    *specs* with ``--timing`` in one fresh interpreter."""
+    phases, modules = json.loads(run_python(PHASE_SPY, *specs)
+                                 .splitlines()[-1])
+    return phases, set(modules)
