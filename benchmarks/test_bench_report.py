@@ -46,7 +46,7 @@ def test_bench_store_get(benchmark, tmp_path):
     store = ResultStore(str(tmp_path))
     record = store.put("bench", {}, seed=1, reps=None, backend="serial",
                        elapsed_seconds=0.0, result=_payload())
-    loaded = benchmark.pedantic(store.get, args=(record.key, "bench"),
+    loaded = benchmark.pedantic(store.get, args=(record.key,),
                                 iterations=20, rounds=5)
     assert loaded is not None
 

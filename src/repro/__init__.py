@@ -28,7 +28,7 @@ The package provides:
   (:mod:`repro.report`);
 * an async multi-tenant evaluation service — single-flight dedup of
   identical in-flight cells, a hot-cell LRU, admission batching into one
-  backend fan-out, and a keyspace-sharded store — ``python -m repro serve``
+  backend fan-out, and the CLI's own result store — ``python -m repro serve``
   (:mod:`repro.service`).
 
 Quickstart
@@ -72,7 +72,7 @@ _EXPORTS = {
     **dict.fromkeys(("ModelSimulator", "PhaseType",
                      "RecoveryLineIntervalModel", "SimplifiedChain"),
                     "repro.markov"),
-    **dict.fromkeys(("ResultStore", "ShardedResultStore", "generate_report"),
+    **dict.fromkeys(("ResultStore", "generate_report"),
                     "repro.report"),
     **dict.fromkeys(("ExperimentRunner", "ProcessPoolBackend", "RunRecord",
                      "ScenarioSpec", "SerialBackend", "list_scenarios",

@@ -193,13 +193,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--workers", type=int, default=None,
                            help="worker processes for --backend process")
     serve_cmd.add_argument("--store", metavar="DIR", default=None,
-                           help="result-store directory (opened sharded; an "
-                                "existing flat store is read through "
-                                "transparently)")
-    serve_cmd.add_argument("--shards", type=int, default=None,
-                           help="shard count for a new --store "
-                                "(default 16; an existing sharded store "
-                                "keeps its persisted count)")
+                           help="result-store directory (the same store "
+                                "'eval --store' reads and writes)")
     serve_cmd.add_argument("--lru-size", type=int, default=1024,
                            help="hot-cell LRU capacity (default 1024; "
                                 "0 disables the in-memory cache)")
@@ -248,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "load", help="load (incrementally) a result store into the "
                      "warehouse database")
     load_cmd.add_argument("--store", metavar="DIR", default=".repro-store",
-                          help="result-store directory, flat or sharded "
+                          help="result-store directory "
                                "(default: .repro-store)")
     kpi_cmd = qsub.add_parser(
         "kpi", help="render a canned KPI view (no name: list the catalog)")
@@ -491,10 +486,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit("--lru-size must be >= 0")
     if args.max_batch < 1:
         raise SystemExit("--max-batch must be >= 1")
-    if args.shards is not None and args.shards < 1:
-        raise SystemExit("--shards must be >= 1")
-    if args.shards is not None and args.store is None:
-        raise SystemExit("--shards requires --store")
     import asyncio
 
     from repro.service import EvaluationServer, EvaluationService
@@ -502,8 +493,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     async def _serve() -> None:
         service = EvaluationService(
             backend=args.backend, workers=args.workers, store=args.store,
-            shards=args.shards, lru_size=args.lru_size,
-            max_batch=args.max_batch)
+            lru_size=args.lru_size, max_batch=args.max_batch)
         server = EvaluationServer(service, host=args.host, port=args.port)
         await server.start()
         store_note = f" store={args.store}" if args.store else ""

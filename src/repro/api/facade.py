@@ -241,7 +241,7 @@ def _evaluate_cells(spec: StudySpec, method: str, backend, store,
         hit = None
         if store is not None and key is not None and not force:
             with _phase("store"):
-                hit = store.get(key, EVALUATE_SCENARIO_NAME)
+                hit = store.get(key)
         if hit is not None:
             results.append(result(cell, key, hit, cached=True))
         elif get_evaluator(cell.method).stochastic:

@@ -37,47 +37,35 @@ Sub-modules
     High-level façade tying everything together.
 """
 
-from repro.markov.state_space import AsyncStateSpace
-from repro.markov.generator import (build_generator, build_generator_sparse,
-                                    build_phase_type)
-from repro.markov.operators import (DENSE_STATE_LIMIT, DenseTransientOperator,
-                                    SparseTransientOperator, TransientOperator,
-                                    as_operator, select_backend)
-from repro.markov.simplified import SimplifiedChain, simplified_mean_interval
-from repro.markov.ctmc import PhaseType, transient_distribution
-from repro.markov.dtmc import AbsorbingDTMC
-from repro.markov.split_chain import SplitChainYd, expected_rp_counts
-from repro.markov.density import interval_density, interval_cdf
-from repro.markov.montecarlo import ModelSimulator, SimulatedIntervals
-from repro.markov.recovery_line_interval import RecoveryLineIntervalModel
-from repro.markov.structure_cache import (GeneratorStructure, cache_info,
-                                          clear_structure_cache, structure_for)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GeneratorStructure",
-    "cache_info",
-    "clear_structure_cache",
-    "structure_for",
-    "AsyncStateSpace",
-    "DENSE_STATE_LIMIT",
-    "DenseTransientOperator",
-    "SparseTransientOperator",
-    "TransientOperator",
-    "as_operator",
-    "build_generator",
-    "build_generator_sparse",
-    "build_phase_type",
-    "select_backend",
-    "SimplifiedChain",
-    "simplified_mean_interval",
-    "PhaseType",
-    "transient_distribution",
-    "AbsorbingDTMC",
-    "SplitChainYd",
-    "expected_rp_counts",
-    "interval_density",
-    "interval_cdf",
-    "ModelSimulator",
-    "SimulatedIntervals",
-    "RecoveryLineIntervalModel",
-]
+#: Public name -> the submodule that defines it, resolved on first use so
+#: that a Monte-Carlo cell loads ``montecarlo`` alone, not the solver stack.
+_EXPORTS = {
+    "AsyncStateSpace": "repro.markov.state_space",
+    **dict.fromkeys(("build_generator", "build_generator_sparse",
+                     "build_phase_type"), "repro.markov.generator"),
+    **dict.fromkeys(("DENSE_STATE_LIMIT", "DenseTransientOperator",
+                     "SparseTransientOperator", "TransientOperator",
+                     "as_operator", "select_backend"),
+                    "repro.markov.operators"),
+    **dict.fromkeys(("SimplifiedChain", "simplified_mean_interval"),
+                    "repro.markov.simplified"),
+    **dict.fromkeys(("PhaseType", "transient_distribution"),
+                    "repro.markov.ctmc"),
+    "AbsorbingDTMC": "repro.markov.dtmc",
+    **dict.fromkeys(("SplitChainYd", "expected_rp_counts"),
+                    "repro.markov.split_chain"),
+    **dict.fromkeys(("interval_density", "interval_cdf"),
+                    "repro.markov.density"),
+    **dict.fromkeys(("ModelSimulator", "SimulatedIntervals"),
+                    "repro.markov.montecarlo"),
+    "RecoveryLineIntervalModel": "repro.markov.recovery_line_interval",
+    **dict.fromkeys(("GeneratorStructure", "cache_info",
+                     "clear_structure_cache", "structure_for"),
+                    "repro.markov.structure_cache"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

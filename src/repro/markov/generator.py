@@ -36,6 +36,7 @@ from repro.core.parameters import SystemParameters
 from repro.markov.ctmc import PhaseType
 from repro.markov.operators import select_backend
 from repro.markov.state_space import AsyncStateSpace
+from repro.markov.structure_cache import structure_for
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -218,7 +219,6 @@ def build_phase_type(params: SystemParameters, *,
     space = AsyncStateSpace(params.n)
     chosen = select_backend(space.n_transient, backend)
     if structure_cache:
-        from repro.markov.structure_cache import structure_for
         structure = structure_for(params)
         if chosen == "sparse":
             H_sparse = structure.refill_sparse(params)

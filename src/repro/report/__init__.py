@@ -6,21 +6,14 @@ resumable artifacts:
 ``store``
     :class:`ResultStore` — a content-addressed artifact directory.  Every
     run is keyed by SHA-256 over (scenario, canonicalised params, seed,
-    replication budget, code version); the
-    :class:`~repro.runner.runner.ExperimentRunner` writes results through
-    it and serves cache hits without re-executing, which is what lets an
-    interrupted large-n sweep *resume* instead of recompute.
-``sharded``
-    :class:`ShardedResultStore` — the same store partitioned across
-    per-shard indexes by key prefix, so many concurrent writers (the
-    evaluation service, a worker pool) never serialise on one
-    ``index.jsonl``.  Reads through pre-existing flat stores and migrates
-    them in place.
-
-Both store flavours expose ``envelopes()``, the authoritative
-object-file iteration that feeds the analytics warehouse
-(:mod:`repro.warehouse` — load every stored cell into SQLite and query
-it with ``python -m repro query``).
+    replication budget, code version) and stored as one atomically written
+    object at ``objects/<key[:2]>/<key>.json``, with no index and no lock.
+    The :class:`~repro.runner.runner.ExperimentRunner`, ``repro eval`` and
+    the evaluation service write results through the same store and serve
+    cache hits without re-executing, which is what lets an interrupted
+    large-n sweep *resume* instead of recompute.  ``envelopes()`` feeds the
+    analytics warehouse (:mod:`repro.warehouse` — load every stored cell
+    into SQLite and query it with ``python -m repro query``).
 ``figures``
     The renderer registry mapping scenarios to paper artifacts (Figure 5,
     Figure 6, Table 1, the heterogeneous sweep) with a headless matplotlib
@@ -55,9 +48,7 @@ _EXPORTS = {
                      "result_to_markdown_table"), "repro.report.markdown"),
     **dict.fromkeys(("ReportSummary", "default_scenario_order",
                      "generate_report"), "repro.report.pipeline"),
-    **dict.fromkeys(("ShardedResultStore", "shard_of_key"),
-                    "repro.report.sharded"),
-    **dict.fromkeys(("FileLock", "ResultStore", "StoreRecord",
+    **dict.fromkeys(("ResultStore", "StoreRecord",
                      "canonical_params", "store_key"), "repro.report.store"),
 }
 

@@ -19,17 +19,22 @@ in its metadata for provenance.
 
 On-disk layout (all JSON, human-diffable)::
 
-    <root>/
-        index.jsonl                     append-only run log (metadata only)
-        objects/<scenario>/<key>.json   full envelope incl. the result
+    <root>/objects/<key[:2]>/<key>.json   full envelope incl. the result
 
-Writes are atomic (temp file + ``os.replace``), so a killed sweep never
-leaves a truncated object behind; at worst the index lags the objects, and
-the index is only advisory — lookups go straight to the object files.
+Each object is written atomically (temp file + ``os.replace``), so a killed
+sweep never leaves a truncated object behind.  There is no index and no
+lock: the objects are the whole state, a lookup is one path probe, and two
+writers of one key race only to rename the same cell into place.
+
+Stores written by earlier versions kept objects under
+``objects/<scenario>/`` or ``shards/NN/objects/<scenario>/``, beside an
+``index.jsonl``.  Opening such a store moves each object to its place once
+(see :meth:`ResultStore._migrate`).
 """
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
@@ -39,54 +44,14 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Dict, Iterator, List, Optional
 
-try:                                    # POSIX inter-process file locking
-    import fcntl
-except ImportError:                     # pragma: no cover - non-POSIX
-    fcntl = None  # type: ignore[assignment]
-
 from repro._version import __version__
 from repro.experiments.common import ExperimentResult
 
-__all__ = ["FileLock", "ResultStore", "StoreRecord", "canonical_params",
+__all__ = ["ResultStore", "StoreRecord", "canonical_params",
            "store_key", "strict_jsonable"]
 
 #: Bumped when the envelope layout changes incompatibly.
 STORE_FORMAT = 1
-
-
-class FileLock:
-    """Advisory inter-process mutex over a sidecar lock file.
-
-    Two processes appending to the same ``index.jsonl`` concurrently could
-    interleave their lines (a single ``write`` is only atomic up to
-    ``PIPE_BUF``), so every index append happens under an exclusive
-    ``flock`` on ``<index>.lock``.  Re-entrant use within one process is not
-    supported (and not needed — the store takes the lock around one append).
-
-    On platforms without :mod:`fcntl` the lock degrades to a no-op: the
-    atomic object writes still guarantee the *objects* are never partial,
-    and the index is advisory (lookups go to the object files).
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._fd: Optional[int] = None
-
-    def __enter__(self) -> "FileLock":
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        self._fd = os.open(self.path, os.O_CREAT | os.O_RDWR, 0o644)
-        if fcntl is not None:
-            fcntl.flock(self._fd, fcntl.LOCK_EX)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._fd is not None:
-            if fcntl is not None:
-                fcntl.flock(self._fd, fcntl.LOCK_UN)
-            os.close(self._fd)
-            self._fd = None
 
 
 def strict_jsonable(value):
@@ -196,12 +161,6 @@ class StoreRecord:
             "result": self.result.to_dict(),
         }
 
-    def metadata(self) -> Dict[str, object]:
-        """The ``index.jsonl`` line: everything except the result rows."""
-        meta = self.to_envelope()
-        del meta["result"]
-        return meta
-
     @classmethod
     def from_envelope(cls, envelope: Dict[str, object]) -> "StoreRecord":
         return cls(
@@ -218,14 +177,55 @@ class StoreRecord:
         )
 
 
+
+
+#: Files the earlier layouts kept beside their objects (index, index lock,
+#: shard count); nothing reads them, so migration removes them.
+_LEGACY_FILES = ("index.jsonl", "index.jsonl.lock", "sharding.json",
+                 "sharding.json.lock")
+
+
+def _is_bucket(name: str) -> bool:
+    """Whether *name* is an ``objects/`` subdirectory of this layout: two
+    lowercase hex digits (the earlier layouts used scenario names)."""
+    return len(name) == 2 and all(c in "0123456789abcdef" for c in name)
+
+
+def _listdir(path: str) -> List[str]:
+    """``os.listdir``, or nothing when *path* is gone or not a directory."""
+    try:
+        return os.listdir(path)
+    except (FileNotFoundError, NotADirectoryError):
+        return []
+
+
+def _remove_tree(top: str) -> None:
+    """Remove the emptied directory tree *top*, bottom up, with the stale
+    index and lock files it holds.  A directory that another process
+    already removed, or that still holds anything else, is left as it is."""
+    for directory, _dirs, files in os.walk(top, topdown=False):
+        for name in files:
+            if name == "index.jsonl" or name.endswith(".lock"):
+                try:
+                    os.unlink(os.path.join(directory, name))
+                except FileNotFoundError:
+                    pass
+        try:
+            os.rmdir(directory)
+        except OSError as exc:
+            if exc.errno not in (errno.ENOENT, errno.ENOTEMPTY):
+                raise
+
+
 class ResultStore:
     """Content-addressed artifact directory for experiment results.
 
     The three-method surface the runner's persistence hook consumes is
     :meth:`key` / :meth:`get` / :meth:`put`; everything else is inspection
-    convenience.  A store is cheap to construct — directories are created
-    lazily on first write, so pointing one at a read-only location is fine
-    as long as only lookups happen.
+    convenience.  Opening a store writes nothing unless it holds objects
+    of an earlier layout (see :meth:`_migrate`), and directories are
+    created on first write, so pointing one at a read-only location is
+    fine as long as only lookups happen.
 
     >>> store = ResultStore("reports/store")                # doctest: +SKIP
     >>> runner = ExperimentRunner(seed=7, store=store)      # doctest: +SKIP
@@ -235,18 +235,11 @@ class ResultStore:
 
     def __init__(self, root: str) -> None:
         self.root = os.fspath(root)
+        self._objects = os.path.join(self.root, "objects")
+        self._migrate()
 
-    # ------------------------------------------------------------------ paths
-    @property
-    def index_path(self) -> str:
-        return os.path.join(self.root, "index.jsonl")
-
-    @property
-    def index_lock_path(self) -> str:
-        return self.index_path + ".lock"
-
-    def object_path(self, key: str, scenario: str) -> str:
-        return os.path.join(self.root, "objects", scenario, f"{key}.json")
+    def object_path(self, key: str) -> str:
+        return os.path.join(self._objects, key[:2], f"{key}.json")
 
     # ------------------------------------------------------------------ hook surface
     def key(self, scenario: str, params: Dict[str, object],
@@ -254,24 +247,19 @@ class ResultStore:
         """Content address of the cell under the *current* code version."""
         return store_key(scenario, params, seed, reps)
 
-    def get(self, key: str, scenario: Optional[str] = None
-            ) -> Optional[StoreRecord]:
-        """Load a stored record by key, or ``None`` when absent.
-
-        ``scenario`` narrows the lookup to one object subdirectory; without
-        it every scenario directory is scanned (keys are globally unique, so
-        the first match is the only match).
-        """
-        for path in self._candidate_paths(key, scenario):
-            if os.path.isfile(path):
-                with open(path, "r", encoding="utf-8") as handle:
-                    return StoreRecord.from_envelope(json.load(handle))
-        return None
+    def get(self, key: str) -> Optional[StoreRecord]:
+        """Load a stored record by key, or ``None`` when absent."""
+        try:
+            with open(self.object_path(key), "r", encoding="utf-8") as handle:
+                envelope = json.load(handle)
+        except FileNotFoundError:
+            return None
+        return StoreRecord.from_envelope(envelope)
 
     def put(self, scenario: str, params: Dict[str, object],
             seed: Optional[int], reps: Optional[int], *, backend: str,
             elapsed_seconds: float, result: ExperimentResult) -> StoreRecord:
-        """Persist one run atomically and append it to the index."""
+        """Persist one run as one atomically written object."""
         record = StoreRecord(
             key=self.key(scenario, params, seed, reps),
             scenario=scenario,
@@ -284,129 +272,71 @@ class ResultStore:
             created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
             result=result,
         )
-        path = self.object_path(record.key, scenario)
+        path = self.object_path(record.key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         self._write_atomic(path, record.to_envelope())
-        line = json.dumps(strict_jsonable(record.metadata()),
-                          sort_keys=True, allow_nan=False) + "\n"
-        # The lock serialises concurrent writers (processes *and* threads)
-        # on this index, so lines never interleave however large they are.
-        with FileLock(self.index_lock_path):
-            with open(self.index_path, "a", encoding="utf-8") as handle:
-                handle.write(line)
         return record
 
     # ------------------------------------------------------------------ inspection
-    def contains(self, key: str) -> bool:
-        return any(os.path.isfile(p) for p in self._candidate_paths(key, None))
-
-    def records(self) -> Iterator[Dict[str, object]]:
-        """Iterate the index metadata lines, oldest first.
-
-        A process killed mid-append leaves a truncated (or otherwise
-        undecodable) trailing line behind; the index is advisory — the
-        object files are the authority — so such lines are *skipped*, not
-        raised, and :meth:`compact` rebuilds a clean index from the objects.
-        """
-        if not os.path.isfile(self.index_path):
-            return
-        with open(self.index_path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    continue                      # crash-truncated append
-                if isinstance(entry, dict):
-                    yield entry
+    def _object_paths(self) -> Iterator[str]:
+        """Every object file's path, sorted (so by key)."""
+        for bucket in sorted(filter(_is_bucket, _listdir(self._objects))):
+            directory = os.path.join(self._objects, bucket)
+            for name in sorted(_listdir(directory)):
+                if name.endswith(".json"):
+                    yield os.path.join(directory, name)
 
     def envelopes(self) -> Iterator[Dict[str, object]]:
         """Iterate the full object envelopes (result included), sorted by
-        scenario then key.
-
-        Unlike :meth:`records` this reads the **object files** — the
-        authority — so a truncated or lagging ``index.jsonl`` never hides a
-        stored cell.  This is the read path of the analytics warehouse ETL
-        (:mod:`repro.warehouse`), which must see exactly the cells
-        :meth:`compact` would rebuild the index from.
-        """
-        objects = os.path.join(self.root, "objects")
-        if not os.path.isdir(objects):
-            return
-        for scenario in sorted(os.listdir(objects)):
-            subdir = os.path.join(objects, scenario)
-            if not os.path.isdir(subdir):
-                continue
-            for name in sorted(os.listdir(subdir)):
-                if not name.endswith(".json"):
-                    continue
-                with open(os.path.join(subdir, name), "r",
-                          encoding="utf-8") as handle:
-                    yield json.load(handle)
+        key.  This is the read path of the analytics warehouse ETL
+        (:mod:`repro.warehouse`)."""
+        for path in self._object_paths():
+            with open(path, "r", encoding="utf-8") as handle:
+                yield json.load(handle)
 
     def __len__(self) -> int:
-        objects = os.path.join(self.root, "objects")
-        if not os.path.isdir(objects):
-            return 0
-        return sum(name.endswith(".json")
-                   for _, _, files in os.walk(objects) for name in files)
-
-    def compact(self) -> int:
-        """Rewrite ``index.jsonl`` from the object files; return the count.
-
-        The objects are the source of truth (every write lands there
-        atomically before the index append), so compaction repairs any
-        index damage — truncated trailing lines, appends lost to a crash
-        between object write and index append — and drops duplicate lines
-        left by forced re-runs.  Entries are ordered by ``created_at`` then
-        key, so a compacted index is deterministic for a given object set.
-        """
-        entries: List[Dict[str, object]] = []
-        objects = os.path.join(self.root, "objects")
-        if os.path.isdir(objects):
-            for scenario in sorted(os.listdir(objects)):
-                subdir = os.path.join(objects, scenario)
-                if not os.path.isdir(subdir):
-                    continue
-                for name in sorted(os.listdir(subdir)):
-                    if not name.endswith(".json"):
-                        continue
-                    with open(os.path.join(subdir, name), "r",
-                              encoding="utf-8") as handle:
-                        envelope = json.load(handle)
-                    envelope.pop("result", None)
-                    entries.append(envelope)
-        entries.sort(key=lambda e: (str(e.get("created_at", "")),
-                                    str(e.get("key", ""))))
-        os.makedirs(self.root, exist_ok=True)
-        with FileLock(self.index_lock_path):
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    for entry in entries:
-                        handle.write(json.dumps(strict_jsonable(entry),
-                                                sort_keys=True,
-                                                allow_nan=False) + "\n")
-                os.replace(tmp, self.index_path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        return len(entries)
+        return sum(1 for _ in self._object_paths())
 
     # ------------------------------------------------------------------ internals
-    def _candidate_paths(self, key: str, scenario: Optional[str]) -> List[str]:
-        if scenario is not None:
-            return [self.object_path(key, scenario)]
-        objects = os.path.join(self.root, "objects")
-        if not os.path.isdir(objects):
-            return []
-        return [os.path.join(objects, sub, f"{key}.json")
-                for sub in sorted(os.listdir(objects))]
+    def _migrate(self) -> None:
+        """Move the objects of the earlier layouts to their place.
+
+        Those are the flat ``objects/<scenario>/<key>.json`` and the sharded
+        ``shards/NN/objects/<scenario>/<key>.json``.  Each object moves with
+        one ``os.replace``, so a crash leaves it in one place or the other
+        and the next open finishes the move; a key held in both layouts
+        ends up as one object.  The stale index, lock and shard-count files
+        go next, and the emptied directories last, because they are what
+        tells an open that a move is due.  A file or directory another
+        process moved or removed first is skipped.  With nothing to move,
+        this is one ``listdir`` and one ``isdir``, and it writes nothing.
+        """
+        legacy = [os.path.join(self._objects, name)
+                  for name in _listdir(self._objects) if not _is_bucket(name)]
+        shards = os.path.join(self.root, "shards")
+        if not legacy and not os.path.isdir(shards):
+            return
+        for shard in _listdir(shards):
+            objects = os.path.join(shards, shard, "objects")
+            legacy += [os.path.join(objects, name)
+                       for name in _listdir(objects)]
+        for directory in legacy:
+            for name in _listdir(directory):
+                if not name.endswith(".json"):
+                    continue
+                target = self.object_path(name[:-len(".json")])
+                os.makedirs(os.path.dirname(target), exist_ok=True)
+                try:
+                    os.replace(os.path.join(directory, name), target)
+                except FileNotFoundError:
+                    pass
+        for name in _LEGACY_FILES:
+            try:
+                os.unlink(os.path.join(self.root, name))
+            except FileNotFoundError:
+                pass
+        for directory in [*legacy, shards]:
+            _remove_tree(directory)
 
     @staticmethod
     def _write_atomic(path: str, payload: Dict[str, object]) -> None:

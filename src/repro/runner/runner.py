@@ -20,7 +20,7 @@ Persistence hook
 ----------------
 :class:`ExperimentRunner` accepts an optional *store* — any object with the
 three-method surface of :class:`~repro.report.store.ResultStore`
-(``key(scenario, params, seed, reps)``, ``get(key, scenario)``,
+(``key(scenario, params, seed, reps)``, ``get(key)``,
 ``put(...)``).  When a
 store is attached, :meth:`ExperimentRunner.run_record` first looks the
 ``(scenario, canonical params, seed, reps, code version)`` cell up and returns
@@ -241,9 +241,7 @@ class ExperimentRunner:
         if cacheable:
             key = self.store.key(spec.name, merged, eff_seed, key_reps)
             if not force:
-                # The scenario hint makes the lookup a single stat instead of
-                # a scan across every scenario's object directory.
-                hit = self.store.get(key, spec.name)
+                hit = self.store.get(key)
                 if hit is not None:
                     return RunRecord(spec=spec, result=hit.result, params=merged,
                                      seed=eff_seed, reps=key_reps,

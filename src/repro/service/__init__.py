@@ -26,9 +26,10 @@ and pays a pool dispatch per cell.  The service collapses that:
     streams (stdlib only) behind ``python -m repro serve``, plus
     :class:`ServiceHTTPClient`.
 
-Persistence goes through :class:`~repro.report.sharded.ShardedResultStore`
-(per-shard indexes and locks), so concurrent batch flushes never serialise
-on one index file — and a pre-existing flat store is read through as-is.
+Persistence goes through :class:`~repro.report.store.ResultStore`, the
+store ``repro eval --store`` opens: one atomically renamed object per cell,
+with no index or lock, so concurrent batch flushes never serialise, and a
+cell the service stored is a hit for the CLI (and the reverse).
 
 Quickstart (in-process)
 -----------------------

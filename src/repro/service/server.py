@@ -47,17 +47,20 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             500: "Internal Server Error"}
 
 
-class _PayloadTooLarge(Exception):
-    """A request declared a body beyond :data:`MAX_BODY_BYTES`.
+class _Refused(Exception):
+    """A request refused from its headers: a ``Content-Length`` that is not
+    a count (400) or beyond :data:`MAX_BODY_BYTES` (413).
 
-    Raised out of header parsing and answered with a real 413 — it must NOT
-    be an ``IncompleteReadError`` subclass, which ``_handle`` treats as
-    "client went away" and swallows without responding.
+    Raised out of header parsing and answered with a real status before the
+    connection closes — it must NOT be an ``IncompleteReadError`` subclass,
+    which ``_handle`` treats as "client went away" and swallows without
+    responding.  *drain* is the declared body length still to discard.
     """
 
-    def __init__(self, declared: int) -> None:
-        super().__init__(f"declared body of {declared} bytes")
-        self.declared = declared
+    def __init__(self, status: int, error: str, drain: int = 0) -> None:
+        super().__init__(error)
+        self.status = status
+        self.drain = drain
 
 
 def _encode_outcome(outcome: SubmitOutcome) -> Dict[str, object]:
@@ -114,24 +117,21 @@ class EvaluationServer:
             while True:
                 try:
                     request = await self._read_request(reader)
-                except _PayloadTooLarge as exc:
-                    # Drain the declared body (bounded chunks, nothing is
+                except _Refused as exc:
+                    # Drain a declared body (bounded chunks, nothing is
                     # retained) so the client's in-flight upload doesn't die
                     # on a reset before it reads the response, then answer
                     # and close — the stream stays in sync either way.
                     self.requests += 1
-                    remaining = exc.declared
+                    remaining = exc.drain
                     while remaining > 0:
                         chunk = await reader.read(min(65536, remaining))
                         if not chunk:
                             break
                         remaining -= len(chunk)
-                    await self._respond(
-                        writer, 413,
-                        {"ok": False,
-                         "error": f"request body of {exc.declared} bytes "
-                                  f"exceeds the {MAX_BODY_BYTES}-byte limit"},
-                        keep_alive=False)
+                    await self._respond(writer, exc.status,
+                                        {"ok": False, "error": str(exc)},
+                                        keep_alive=False)
                     break
                 if request is None:
                     break
@@ -174,9 +174,13 @@ class EvaluationServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise _Refused(400, f"malformed Content-Length {declared!r}")
+        length = int(declared)
         if length > MAX_BODY_BYTES:
-            raise _PayloadTooLarge(length)
+            raise _Refused(413, f"request body of {length} bytes exceeds the "
+                                f"{MAX_BODY_BYTES}-byte limit", drain=length)
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body
 

@@ -7,7 +7,7 @@ the in-process :class:`ServiceClient` API and the HTTP front end
     submit ── resolve engine ── canonical key
          │
          ├─ LRU probe            (hot cells: a dict lookup)
-         ├─ store probe          (warm cells: one shard read, off-loop)
+         ├─ store probe          (warm cells: one object read, off-loop)
          ├─ single-flight join   (identical cell already computing)
          └─ admission batch      (leader: group commit into one fan-out)
                   │
@@ -27,8 +27,8 @@ the admission batch, so even an uncacheable burst costs one pool dispatch.
 Threading model: all service state (LRU, flight registry, batcher,
 counters) is confined to the event-loop thread.  Blocking work — store
 reads, batch execution plus store writes — happens in worker threads via
-``asyncio.to_thread``; the on-disk store tolerates that concurrency through
-its per-shard index locks.
+``asyncio.to_thread``; the on-disk store tolerates that concurrency because
+each object is renamed into place whole, with no shared index to guard.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from typing import Dict, List, Mapping, Optional, Union
 from repro.api.evaluation import Evaluation
 from repro.api.evaluators import resolve_method
 from repro.api.execute import cell_key, execute_and_store
-from repro.api.spec import EVALUATE_SCENARIO_NAME, StudySpec
-from repro.report.sharded import ShardedResultStore
+from repro.api.spec import StudySpec
+from repro.report.store import ResultStore
 from repro.runner.backends import ExecutionBackend, make_backend
 from repro.service.batching import AdmissionBatcher, BatchCell
 from repro.service.cache import CachedResult, ResultLRU
@@ -108,26 +108,22 @@ class EvaluationService:
         Execution backend for batch fan-outs (as in :func:`repro.evaluate`).
     store:
         ``None`` for a memory-only service, a directory path (opened as a
-        :class:`~repro.report.sharded.ShardedResultStore`, reading any
-        pre-existing flat store through transparently), or a ready store
-        object exposing ``get``/``put``.
+        :class:`~repro.report.store.ResultStore`, the store ``repro eval
+        --store`` opens), or a ready store object exposing ``get``/``put``.
     lru_size:
         Hot-cell cache capacity (0 disables the LRU).
     max_batch:
         Flush immediately once this many cells are pending.
-    shards:
-        Shard count when *store* is a path (``None`` = persisted/default).
     """
 
     def __init__(self, backend: Union[str, ExecutionBackend, None] = None,
                  workers: Optional[int] = None,
                  store: Union[None, str, object] = None,
                  lru_size: int = 1024,
-                 max_batch: int = 256,
-                 shards: Optional[int] = None) -> None:
+                 max_batch: int = 256) -> None:
         self.backend = make_backend(backend, workers)
         if isinstance(store, str):
-            store = ShardedResultStore(store, shards=shards)
+            store = ResultStore(store)
         self.store = store
         self.lru = ResultLRU(lru_size)
         self.flights = SingleFlight()
@@ -182,8 +178,7 @@ class EvaluationService:
             if hit is not None:
                 return self._outcome(cell, resolved, key, "lru", hit)
             if self.store is not None:
-                record = await asyncio.to_thread(self.store.get, key,
-                                                 EVALUATE_SCENARIO_NAME)
+                record = await asyncio.to_thread(self.store.get, key)
                 if record is not None:
                     self.store_hits += 1
                     entry = CachedResult(key=key, result=record.result,

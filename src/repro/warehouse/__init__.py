@@ -3,8 +3,8 @@
 The :class:`~repro.report.store.ResultStore` turned every experiment run
 into a durable, content-addressed cell; this package turns the accumulated
 cells into a **queryable experiment history**.  An incremental ETL
-(:mod:`~repro.warehouse.etl`) loads flat *and* sharded store layouts into
-one SQLite database with typed tables (:mod:`~repro.warehouse.schema`):
+(:mod:`~repro.warehouse.etl`) loads the store's objects into one SQLite
+database with typed tables (:mod:`~repro.warehouse.schema`):
 ``cells`` (identity + provenance), ``axes`` (one row per spec parameter —
 the sweep axes, pivotable in SQL) and ``metrics`` (every stored float with
 a bit-exact ``float.hex`` sidecar).  Canned KPI views
@@ -24,7 +24,7 @@ Quickstart
 See ``docs/WAREHOUSE.md`` for the schema and the KPI catalog.
 """
 
-from repro.warehouse.etl import LoadSummary, load_store, open_store
+from repro.warehouse.etl import LoadSummary, load_store
 from repro.warehouse.schema import (SCHEMA_VERSION, connect,
                                     connect_readonly, float_hex, hex_float)
 from repro.warehouse.views import KPI_VIEWS, KPIView, create_views, kpi_rows
@@ -41,5 +41,4 @@ __all__ = [
     "hex_float",
     "kpi_rows",
     "load_store",
-    "open_store",
 ]

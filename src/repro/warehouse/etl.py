@@ -1,11 +1,8 @@
 """Extract-transform-load: ResultStore objects → warehouse tables.
 
-The loader reads the store's **object files** (through
-:meth:`ResultStore.envelopes` / :meth:`ShardedResultStore.envelopes`), never
-the advisory ``index.jsonl`` — so a crash-truncated index line hides nothing,
-exactly matching the ``records()``/``compact()`` authority semantics.  Flat
-and sharded layouts load identically: cells are keyed by their content
-address, which is layout-independent.
+The loader reads the store's object files through
+:meth:`ResultStore.envelopes`; the objects are the store's whole state, and
+opening it first moves the objects of an earlier layout into place.
 
 Loads are **incremental and idempotent**: ``cells.key`` is the primary key,
 a cell already present is skipped wholesale (no axes/metrics rewrites), so
@@ -39,7 +36,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 from repro._version import __version__
 from repro.warehouse.schema import connect, float_hex, _sql_value
 
-__all__ = ["LoadSummary", "load_store", "open_store"]
+__all__ = ["LoadSummary", "load_store"]
 
 
 @dataclass(frozen=True)
@@ -54,22 +51,6 @@ class LoadSummary:
     @property
     def cells_skipped(self) -> int:
         return self.cells_seen - self.cells_inserted
-
-
-def open_store(root: str):
-    """The store at *root*, as the layout on disk dictates.
-
-    A ``sharding.json`` (or a ``shards/`` directory) means sharded — which
-    also reads any legacy flat layout through — otherwise flat.  Either way
-    the returned object iterates full envelopes via ``envelopes()``.
-    """
-    from repro.report.sharded import SHARDING_CONFIG, ShardedResultStore
-    from repro.report.store import ResultStore
-    root = os.fspath(root)
-    if os.path.isfile(os.path.join(root, SHARDING_CONFIG)) \
-            or os.path.isdir(os.path.join(root, "shards")):
-        return ShardedResultStore(root)
-    return ResultStore(root)
 
 
 # --------------------------------------------------------------------- axes
@@ -167,10 +148,11 @@ def load_store(store_root: str,
     unchanged store reports ``cells_inserted == 0`` and leaves every
     ``cells``/``axes``/``metrics`` row byte-identical.
     """
+    from repro.report.store import ResultStore
     own = isinstance(db, (str, os.PathLike))
     conn = connect(os.fspath(db)) if own else db
     try:
-        store = open_store(store_root)
+        store = ResultStore(store_root)
         seen = inserted = 0
         cursor = conn.cursor()
         cursor.execute(

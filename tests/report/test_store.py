@@ -144,24 +144,12 @@ class TestRoundTrip:
                 assert np.float64(row_a.get(column)).tobytes() == \
                     np.float64(row_b.get(column)).tobytes()
 
-    def test_get_with_scenario_hint_and_miss(self, tmp_path):
+    def test_get_hit_and_miss(self, tmp_path):
         store = ResultStore(str(tmp_path))
         record = store.put("unit", {}, seed=1, reps=None, backend="serial",
                            elapsed_seconds=0.0, result=_result())
-        assert store.get(record.key, scenario="unit") is not None
-        assert store.get(record.key, scenario="absent") is None
+        assert store.get(record.key) is not None
         assert store.get("0" * 64) is None
-
-    def test_index_records_metadata_without_rows(self, tmp_path):
-        store = ResultStore(str(tmp_path))
-        store.put("unit", {"p": 1}, seed=3, reps=10, backend="serial",
-                  elapsed_seconds=0.5, result=_result())
-        store.put("unit", {"p": 2}, seed=3, reps=10, backend="serial",
-                  elapsed_seconds=0.5, result=_result())
-        records = list(store.records())
-        assert len(records) == len(store) == 2
-        assert all("result" not in record for record in records)
-        assert {record["params"]["p"] for record in records} == {1, 2}
 
     def test_atomic_object_files_only(self, tmp_path):
         store = ResultStore(str(tmp_path))
@@ -181,7 +169,7 @@ class TestRoundTrip:
         store = ResultStore(str(tmp_path))
         record = store.put("nf", {}, seed=1, reps=None, backend="serial",
                            elapsed_seconds=0.0, result=result)
-        with open(store.object_path(record.key, "nf"), encoding="utf-8") as f:
+        with open(store.object_path(record.key), encoding="utf-8") as f:
             raw = f.read()
         assert "Infinity" not in raw
         json.loads(raw)                    # parses under the strict grammar

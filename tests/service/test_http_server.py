@@ -189,6 +189,36 @@ class TestOversizedBody:
         assert health == {"status": "ok", "service": "repro"}
 
 
+class TestMalformedContentLength:
+    # Regression: _read_request called int() on the header unguarded, so a
+    # non-numeric or negative Content-Length raised ValueError out of
+    # _handle; asyncio logged it and the client saw the connection close
+    # with no response.
+
+    @pytest.mark.parametrize("declared", ["abc", "-5"])
+    def test_answered_with_400_then_closed(self, declared):
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                           server.port)
+            writer.write((f"POST /v1/evaluate HTTP/1.1\r\n"
+                          f"Host: 127.0.0.1:{server.port}\r\n"
+                          f"Content-Length: {declared}\r\n"
+                          "\r\n{}").encode("latin-1"))
+            await writer.drain()
+            response = await reader.read()      # the server must close
+            writer.close()
+            await writer.wait_closed()
+            return response
+
+        response = _run_with_server(scenario)
+        head, _, raw = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 Bad Request")
+        assert b"connection: close" in head.lower()
+        payload = json.loads(raw.decode("utf-8"))
+        assert payload["ok"] is False
+        assert repr(declared) in payload["error"]
+
+
 class TestClientConnectionHandling:
     # Regression: the client never read the response's Connection header and
     # only reconnected on is_closing(), so the request after a server

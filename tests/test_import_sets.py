@@ -133,6 +133,17 @@ class TestImportSets:
         assert loaded(modules, ("scipy", "repro.markov",
                                 "repro.analysis.rollback_distance")) == []
 
+    def test_mc_cell_loads_no_solver_stack(self, tmp_path):
+        """An ``mc`` cell samples the chain: it loads ``montecarlo`` and
+        neither the transient operators nor the LAPACK binding."""
+        spec = write_spec(tmp_path, "cell.json", {
+            "system": {"kind": "symmetric", "n": 5, "mu": 1.0, "lam": 0.5},
+            "metrics": ["mean"], "seed": 7, "reps": 500})
+        modules = modules_after(CLI, "eval", spec, "--method", "mc")
+        assert "repro.markov.montecarlo" in modules
+        assert loaded(modules, ("repro.util.blas",
+                                "repro.markov.operators")) == []
+
     def test_query_load_loads_no_numeric_stack(self, tmp_path):
         spec = write_spec(tmp_path, "cell.json", ANALYTIC_CELL)
         store = str(tmp_path / "store")

@@ -1,4 +1,4 @@
-"""Warehouse ETL: idempotence, layout parity, bit-exactness, authority."""
+"""Warehouse ETL: idempotence, bit-exactness, transform rules."""
 
 import json
 import os
@@ -7,14 +7,12 @@ import sqlite3
 import pytest
 
 from repro.experiments.common import ExperimentResult
-from repro.report.sharded import ShardedResultStore
 from repro.report.store import ResultStore
 from repro.warehouse import (
     connect,
     float_hex,
     hex_float,
     load_store,
-    open_store,
 )
 from repro.warehouse.etl import _axis_row, _flatten_axes, _metric_rows
 
@@ -99,35 +97,6 @@ class TestIdempotence:
         assert rows[1] == (os.path.abspath(str(tmp_path / "store")), 1, 0)
 
 
-class TestLayoutParity:
-    def test_flat_and_sharded_stores_load_identically(self, tmp_path):
-        flat = ResultStore(str(tmp_path / "flat"))
-        sharded = ShardedResultStore(str(tmp_path / "sharded"), shards=4)
-        _fill(flat)
-        _fill(sharded)
-        flat_db = str(tmp_path / "flat.sqlite")
-        sharded_db = str(tmp_path / "sharded.sqlite")
-        load_store(str(tmp_path / "flat"), flat_db)
-        load_store(str(tmp_path / "sharded"), sharded_db)
-        for table in ("cells", "axes", "metrics"):
-            flat_rows = _table_dump(flat_db, table)
-            sharded_rows = _table_dump(sharded_db, table)
-            if table == "cells":
-                # load_id is positional-identical (single load each side).
-                assert flat_rows == sharded_rows
-            else:
-                assert flat_rows == sharded_rows
-        assert len(_table_dump(flat_db, "cells")) == 4
-
-    def test_open_store_detects_layout(self, tmp_path):
-        flat_root = str(tmp_path / "flat")
-        sharded_root = str(tmp_path / "sharded")
-        _fill(ResultStore(flat_root), cells=1)
-        _fill(ShardedResultStore(sharded_root, shards=2), cells=1)
-        assert isinstance(open_store(flat_root), ResultStore)
-        assert isinstance(open_store(sharded_root), ShardedResultStore)
-
-
 class TestBitExactness:
     def test_metric_hex_matches_store_record(self, tmp_path):
         # Every warehouse metric must round-trip to the exact float the
@@ -188,31 +157,6 @@ class TestBitExactness:
         conn.close()
         assert stderr == 0.5 and stderr_hex == float_hex(0.5)
         assert own_row == (0.5,)           # kept as a row too: lossless image
-
-
-class TestIndexAuthority:
-    def test_truncated_index_lines_hide_nothing(self, tmp_path):
-        # The ETL reads object files, never the advisory index — a
-        # crash-truncated trailing line must not drop any cell.
-        root = str(tmp_path / "store")
-        store = ResultStore(root)
-        _fill(store, cells=3)
-        index = os.path.join(root, "index.jsonl")
-        with open(index, "r+", encoding="utf-8") as handle:
-            raw = handle.read()
-            handle.seek(0)
-            handle.write(raw[:-40])        # chop mid-way through last entry
-            handle.truncate()
-        assert len(list(store.records())) < 3      # index really is damaged
-        summary = load_store(root, str(tmp_path / "wh.sqlite"))
-        assert summary.cells_seen == summary.cells_inserted == 3
-
-    def test_missing_index_is_fine(self, tmp_path):
-        root = str(tmp_path / "store")
-        _fill(ResultStore(root), cells=2)
-        os.remove(os.path.join(root, "index.jsonl"))
-        summary = load_store(root, str(tmp_path / "wh.sqlite"))
-        assert summary.cells_inserted == 2
 
 
 class TestTransformRules:
