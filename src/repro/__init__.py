@@ -56,8 +56,13 @@ import time as _time
 #: reports the time from here to ``main()`` as its ``import`` row.
 _IMPORT_STARTED = _time.perf_counter()
 
+#: The package version.  It is part of every
+#: :class:`~repro.report.store.ResultStore` content address, so a version
+#: bump invalidates cached cells: results of different code never shadow
+#: each other.
+__version__ = "1.1.0"
+
 from repro._lazy import lazy_exports  # noqa: E402
-from repro._version import __version__  # noqa: E402
 
 #: Public name -> the subpackage that defines it.  Names resolve on first use,
 #: so ``import repro`` loads no numeric stack.

@@ -32,7 +32,7 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 import repro
-from repro._version import __version__
+from repro import __version__
 
 #: Seconds from the start of the ``repro`` package import to ``main()``; set
 #: only when this module runs as the program (``python -m repro``).

@@ -1,9 +1,6 @@
-"""Single source of truth for the package version.
+"""The package version under its older import path; ``repro.__version__``
+is the single source (importing the package loads no other module for it)."""
 
-The version participates in the :class:`~repro.report.store.ResultStore`
-content address: every stored artifact is stamped with it, and a version
-bump invalidates cached cells (results produced by different code never
-shadow each other).
-"""
+from repro import __version__
 
-__version__ = "1.1.0"
+__all__ = ["__version__"]

@@ -208,20 +208,28 @@ class AnalyticEvaluator(Evaluator):
 
     name = "analytic"
     #: A dense cell: the chain stack and the LAPACK binding, no scipy.
-    modules = ("repro.markov.recovery_line_interval",
-               "repro.workloads.generators", "repro.util.blas")
+    modules = ("repro.markov.recovery_line_interval", "repro.util.blas")
     #: The Section 3 closed forms of a ``strategy`` cell: no Markov chain.
     closed_form_modules = ("repro.api.strategy",
                            "repro.analysis.synchronized_loss",
                            "repro.workloads.generators")
 
     def modules_for(self, spec: StudySpec) -> Tuple[str, ...]:
-        """The dense cell's modules, plus scipy where the cell's path calls
-        it: the sparse backend, the matrix exponential behind a distribution
-        and the phase-type fit of a non-exponential failure law."""
+        """The dense cell's modules, plus what the cell's path calls: the
+        paper's parameter tables, the lumped chain, the split chain behind
+        per-process counts, and scipy for the sparse backend, the matrix
+        exponential behind a distribution and the phase-type fit of a
+        non-exponential failure law."""
         if spec.system.kind == "strategy":
             return self.closed_form_modules
         modules = self.modules
+        if spec.system.kind in ("table1_case", "figure6_case"):
+            modules += ("repro.workloads.generators",)
+        if spec.options.get("prefer_simplified", True) \
+                and _system_is_symmetric(spec.system):
+            modules += ("repro.markov.simplified",)
+        if spec.wants("rp_counts") or spec.wants("completion_probabilities"):
+            modules += ("repro.markov.split_chain",)
         if _runs_sparse(spec):
             modules += ("scipy.sparse", "scipy.sparse.linalg")
         if spec.times and any(spec.wants(m) for m in ("pdf", "cdf", "sf")):

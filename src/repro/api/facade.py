@@ -32,49 +32,14 @@ from repro.api.evaluation import Evaluation
 from repro.api.evaluators import get_evaluator, load_engine, resolve_method
 from repro.api.execute import (BatchCell, cell_key, execute_and_store,
                                map_cells)
-from repro.api.spec import EVALUATE_SCENARIO_NAME, StudySpec
+from repro.api.spec import StudySpec
 from repro.bench import phase as _phase
 from repro.experiments.common import ExperimentResult
-from repro.runner import ExecutionContext, scenario
-from repro.runner.backends import ExecutionBackend, make_backend
+from repro.runner.backends import (ExecutionBackend, ExecutionContext,
+                                   make_backend)
 
 __all__ = ["CellResult", "StudyResult", "evaluate", "evaluate_in_context",
            "evaluate_record"]
-
-
-# --------------------------------------------------------------------- scenario
-@scenario(EVALUATE_SCENARIO_NAME,
-          description="Evaluate a declarative StudySpec through one engine",
-          paper_reference="Section 2.3 (the interval distribution, via the "
-                          "unified facade)",
-          internal=True)
-def evaluate_scenario(ctx: ExecutionContext, *,
-                      spec: Optional[Dict[str, object]] = None,
-                      method: str = "analytic") -> ExperimentResult:
-    """One study cell through one engine, run by the ``ExperimentRunner``.
-
-    ``spec`` is a :meth:`StudySpec.cell_params` payload and ``method`` a
-    resolved engine name, so the runner keys the cell exactly as the
-    facade's executor does.  Marked *internal* so generic enumeration
-    (``list``, ``report --all``) never runs it parameterless.
-    """
-    if spec is None:
-        raise ValueError(
-            "the 'evaluate' scenario needs a StudySpec: call "
-            "repro.evaluate(spec), use `python -m repro eval SPEC.json`, or "
-            "pass --params with a {'spec': {...}, 'method': ...} payload")
-    carried = sorted({"seed", "reps", "sweep"} & set(spec))
-    if carried:
-        # The runner's seed/reps slots are authoritative here (that is how
-        # the cell is keyed), and a sweep would silently collapse to its
-        # base cell.
-        raise ValueError(
-            f"the 'evaluate' scenario payload must not embed {carried}; "
-            "seed/reps are runner-level, and sweeps are expanded by "
-            "repro.evaluate / `python -m repro eval` before dispatch")
-    study = StudySpec.from_dict(spec)
-    evaluation = get_evaluator(method).evaluate(study, ctx)
-    return evaluation.to_experiment_result()
 
 
 # --------------------------------------------------------------------- results

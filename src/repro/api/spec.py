@@ -217,10 +217,9 @@ def system_axes(kind: str) -> frozenset:
 
 
 #: Per-kind field tables: name -> coercion.  Every kind maps onto one of the
-#: existing :class:`SystemParameters` builders (or the heterogeneous family of
-#: :func:`repro.experiments.heterogeneous_sweep.heterogeneous_parameters`),
-#: so a declared system is guaranteed to be *the same* system every engine
-#: analyses.
+#: existing :class:`SystemParameters` builders (the heterogeneous family is
+#: :meth:`SystemParameters.heterogeneous`), so a declared system is
+#: guaranteed to be *the same* system every engine analyses.
 _SYSTEM_KINDS: Dict[str, Dict[str, str]] = {
     "symmetric": {"n": "int", "mu": "float", "lam": "float"},
     "explicit": {"mu": "vector", "lam": "matrix"},
@@ -401,11 +400,9 @@ class SystemSpec:
             from repro.workloads.generators import paper_figure6_case
             return paper_figure6_case(args["case"])
         # heterogeneous
-        from repro.workloads.generators import heterogeneous_parameters
-        return heterogeneous_parameters(args["n"], mu_base=args["mu_base"],
-                                        mu_gradient=args["mu_gradient"],
-                                        lam_base=args["lam_base"],
-                                        locality=args["locality"])
+        return SystemParameters.heterogeneous(
+            args["n"], mu_base=args["mu_base"], mu_gradient=args["mu_gradient"],
+            lam_base=args["lam_base"], locality=args["locality"])
 
     def build_workload(self):
         """Materialise a ``strategy`` system as a runnable ``WorkloadSpec``."""

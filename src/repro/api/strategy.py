@@ -143,7 +143,8 @@ class StrategyEvaluator(Evaluator):
     name = "strategy"
     stochastic = True
     worker = staticmethod(run_strategy_task)
-    modules = ("repro.recovery", "repro.workloads.generators")
+    modules = ("repro.recovery", "repro.workloads.generators",
+               "repro.processes.communication")
 
     # ------------------------------------------------------------------ checks
     def validate(self, spec: StudySpec) -> None:

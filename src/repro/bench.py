@@ -47,7 +47,7 @@ import platform
 import time
 from typing import Dict, List, Optional
 
-from repro._version import __version__
+from repro import __version__
 
 __all__ = [
     "PhaseTimer",

@@ -18,52 +18,27 @@ particular implementation strategy:
   recovery lines and the per-process recovery-point counts ``L_i``.
 """
 
-from repro.core.types import (
-    CheckpointKind,
-    EventKind,
-    Interaction,
-    ProcessId,
-    RecoveryLine,
-    RecoveryPoint,
-)
-from repro.core.parameters import SystemParameters
-from repro.core.events import Event, EventLog
-from repro.core.history import HistoryDiagram
-from repro.core.recovery_line import (
-    RecoveryLineDetector,
-    ExactRecoveryLineDetector,
-    LatestRPRecoveryLineDetector,
-    is_consistent_line,
-    find_recovery_lines,
-)
-from repro.core.rollback import (
-    RollbackResult,
-    propagate_rollback,
-    rollback_distance,
-    is_domino,
-)
-from repro.core.intervals import IntervalObservation, extract_intervals
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CheckpointKind",
-    "EventKind",
-    "Interaction",
-    "ProcessId",
-    "RecoveryLine",
-    "RecoveryPoint",
-    "SystemParameters",
-    "Event",
-    "EventLog",
-    "HistoryDiagram",
-    "RecoveryLineDetector",
-    "ExactRecoveryLineDetector",
-    "LatestRPRecoveryLineDetector",
-    "is_consistent_line",
-    "find_recovery_lines",
-    "RollbackResult",
-    "propagate_rollback",
-    "rollback_distance",
-    "is_domino",
-    "IntervalObservation",
-    "extract_intervals",
-]
+#: Public name -> the submodule that defines it, resolved on first use so
+#: that a cell needing only :class:`SystemParameters` loads no history code.
+_EXPORTS = {
+    **dict.fromkeys(("CheckpointKind", "EventKind", "Interaction",
+                     "ProcessId", "RecoveryLine", "RecoveryPoint"),
+                    "repro.core.types"),
+    "SystemParameters": "repro.core.parameters",
+    **dict.fromkeys(("Event", "EventLog"), "repro.core.events"),
+    "HistoryDiagram": "repro.core.history",
+    **dict.fromkeys(("RecoveryLineDetector", "ExactRecoveryLineDetector",
+                     "LatestRPRecoveryLineDetector", "is_consistent_line",
+                     "find_recovery_lines"), "repro.core.recovery_line"),
+    **dict.fromkeys(("RollbackResult", "propagate_rollback",
+                     "rollback_distance", "is_domino"),
+                    "repro.core.rollback"),
+    **dict.fromkeys(("IntervalObservation", "extract_intervals"),
+                    "repro.core.intervals"),
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

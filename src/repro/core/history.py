@@ -236,15 +236,6 @@ class HistoryDiagram:
     def interactions(self) -> List[Interaction]:
         return self._interactions(0, len(self._it_time))
 
-    def interactions_until(self, time: float) -> List[Interaction]:
-        """Interactions with send time ≤ *time*."""
-        return self._interactions(0, bisect.bisect_right(self._it_time, time))
-
-    def interactions_window(self, start: float, end: float) -> List[Interaction]:
-        """Interactions with send time in ``(start, end]``."""
-        return self._interactions(bisect.bisect_right(self._it_time, start),
-                                  bisect.bisect_right(self._it_time, end))
-
     def checkpoints(self, process: ProcessId,
                     kinds: Optional[Iterable[CheckpointKind]] = None
                     ) -> List[RecoveryPoint]:

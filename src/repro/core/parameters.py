@@ -94,6 +94,33 @@ class SystemParameters:
             raise ValueError("three_process requires exactly three μ and three λ values")
         return cls.from_pair_rates(mu, [(0, 1, lam[0]), (1, 2, lam[1]), (2, 0, lam[2])])
 
+    @classmethod
+    def heterogeneous(cls, n: int, *, mu_base: float = 1.0,
+                      mu_gradient: float = 1.0, lam_base: float = 0.5,
+                      locality: float = 1.0) -> "SystemParameters":
+        """Build the non-exchangeable parameter family of the heterogeneous sweep
+        (the ``heterogeneous`` system kind of a StudySpec).
+
+        ``μ_i`` ramps geometrically from ``mu_base`` (process 0) to
+        ``mu_base · mu_gradient`` (process n−1); ``λ_ij = lam_base / (1 +
+        locality·|i−j|)`` decays with process distance (a line-topology locality
+        model).  ``mu_gradient = 1`` and ``locality = 0`` recover the symmetric
+        system, which is the cross-check used in tests.
+        """
+        if n < 1:
+            raise ValueError("need at least one process")
+        if mu_gradient <= 0.0:
+            raise ValueError("mu_gradient must be strictly positive")
+        if locality < 0.0:
+            raise ValueError("locality must be non-negative")
+        exponents = np.arange(n) / max(n - 1, 1)
+        mu = mu_base * np.power(mu_gradient, exponents)
+        idx = np.arange(n)
+        distance = np.abs(idx[:, None] - idx[None, :])
+        lam = lam_base / (1.0 + locality * distance)
+        np.fill_diagonal(lam, 0.0)
+        return cls(mu=mu, lam=lam)
+
     # ------------------------------------------------------------------ properties
     @property
     def n(self) -> int:

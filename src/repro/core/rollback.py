@@ -26,7 +26,6 @@ from repro.core.types import (
     CheckpointKind,
     Interaction,
     ProcessId,
-    RecoveryLine,
     RecoveryPoint,
 )
 
@@ -62,11 +61,6 @@ class RollbackResult:
     affected: Tuple[ProcessId, ...]
     iterations: int
     invalidated_interactions: Tuple[Interaction, ...] = field(default=())
-
-    @property
-    def restart_line(self) -> RecoveryLine:
-        """The (possibly partial) recovery line the system restarts from."""
-        return RecoveryLine(points=self.restart_points)
 
     def restart_time(self, process: ProcessId) -> float:
         """Restart time of *process* (``failure_time`` if it was not affected)."""

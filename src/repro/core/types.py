@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 __all__ = [
     "ProcessId",
@@ -301,9 +301,6 @@ class RecoveryLine:
     def is_pseudo(self) -> bool:
         """True when the line contains at least one pseudo recovery point."""
         return any(rp.kind is CheckpointKind.PSEUDO for rp in self.points.values())
-
-    def as_dict(self) -> Dict[ProcessId, RecoveryPoint]:
-        return dict(self.points)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RecoveryLine):

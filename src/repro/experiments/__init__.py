@@ -11,8 +11,8 @@ Every scenario module registers its entry point with the scenario registry
 package lists them in :data:`SCENARIO_MODULES`), after which
 ``python -m repro list`` / ``python -m repro run <name>`` (or
 :func:`repro.runner.run_scenario`) run any experiment, serially or across a
-process pool.  Importing the package itself loads only the result
-containers; the ``run_*`` compatibility wrappers resolve on first access.
+process pool.  Importing the package itself loads nothing else: the result
+containers and the ``run_*`` compatibility wrappers resolve on first access.
 
 Scenarios whose output *is* a paper artifact additionally declare a renderer
 (``@scenario(..., renderer="figure5")``); ``python -m repro report`` routes
@@ -21,10 +21,9 @@ plus a provenance-stamped ``REPORT.md``.
 """
 
 from repro._lazy import lazy_exports
-from repro.experiments.common import ExperimentResult, ExperimentRow
 
 #: The modules whose import registers the built-in scenarios.
-SCENARIO_MODULES = ("ablation", "cascading_faults", "figure5",
+SCENARIO_MODULES = ("ablation", "cascading_faults", "evaluate", "figure5",
                     "figure5_full_chain", "figure6", "heterogeneous_sweep",
                     "prp_costs", "strategy_comparison", "sync_loss", "table1",
                     "validation")
@@ -51,4 +50,6 @@ __all__ = ["ExperimentResult", "ExperimentRow", *_WRAPPERS]
 
 __getattr__, __dir__ = lazy_exports(
     __name__, {name: f"{__name__}.{module}"
-               for name, module in _WRAPPERS.items()})
+               for name, module in {"ExperimentResult": "common",
+                                    "ExperimentRow": "common",
+                                    **_WRAPPERS}.items()})

@@ -21,17 +21,8 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.core.intervals import extract_intervals, summarize_intervals
-from repro.core.recovery_line import (
-    ExactRecoveryLineDetector,
-    LatestRPRecoveryLineDetector,
-)
 from repro.experiments.common import ExperimentResult
-from repro.markov.generator import build_generator
-from repro.markov.montecarlo import ModelSimulator
-from repro.markov.ctmc import transient_distribution
 from repro.runner import ExecutionContext, run_scenario, scenario
-from repro.workloads.generators import paper_table1_case
 
 __all__ = ["run_detector_ablation", "run_solver_ablation"]
 
@@ -45,6 +36,12 @@ class _DetectorTask:
 
 def _compare_detectors(task: _DetectorTask) -> Dict[str, float]:
     """Run both detectors over one generated history; return the row metrics."""
+    from repro.core.intervals import extract_intervals, summarize_intervals
+    from repro.core.recovery_line import (ExactRecoveryLineDetector,
+                                          LatestRPRecoveryLineDetector)
+    from repro.markov.montecarlo import ModelSimulator
+    from repro.workloads.generators import paper_table1_case
+
     params = paper_table1_case(task.case)
     history = ModelSimulator(params, seed=task.seed).generate_history(task.duration)
     latest_obs = extract_intervals(history, LatestRPRecoveryLineDetector())
@@ -120,6 +117,9 @@ def solver_ablation_scenario(ctx: ExecutionContext, *, case: int = 1,
                              ) -> ExperimentResult:
     """Phase-type (expm, via the facade) vs Chapman–Kolmogorov ODE ``F_X(t)``."""
     from repro.api import StudySpec, SystemSpec, evaluate
+    from repro.markov.ctmc import transient_distribution
+    from repro.markov.generator import build_generator
+    from repro.workloads.generators import paper_table1_case
 
     case = int(case)
     params = paper_table1_case(case)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.experiments.common import ExperimentResult
-from repro.markov.simplified import SimplifiedChain
 from repro.runner import ExecutionContext, run_scenario, scenario
 
 __all__ = ["run_figure5_full_chain"]
@@ -43,6 +42,7 @@ def figure5_full_chain_scenario(ctx: ExecutionContext, *,
     argument) is wrong, not that the physics changed.
     """
     from repro.api import StudySpec, SystemSpec, evaluate_in_context
+    from repro.markov.simplified import SimplifiedChain
 
     n_values = [int(n) for n in n_values]
     if any(n < 2 for n in n_values):

@@ -14,7 +14,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.experiments.common import ExperimentResult
-from repro.markov.recovery_line_interval import RecoveryLineIntervalModel
 from repro.runner import ExecutionContext, scenario
 from repro.workloads.generators import FIGURE6_CASES, paper_figure6_case
 
@@ -72,6 +71,8 @@ def figure6_scenario(ctx: ExecutionContext, *,
 
 def figure6_curves(t_max: float = 2.0, n_points: int = 81):
     """Return ``(times, {case label: density array})`` for the three cases."""
+    from repro.markov.recovery_line_interval import RecoveryLineIntervalModel
+
     times = np.linspace(0.0, t_max, n_points)
     curves = {}
     for case in range(1, len(FIGURE6_CASES) + 1):

@@ -20,20 +20,21 @@ blocks, acceptance models) the declarative spec does not express.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.experiments.common import ExperimentResult
-from repro.recovery import make_runtime
-from repro.recovery.report import RunReport
 from repro.runner import (
     ExecutionContext,
     SerialBackend,
     make_backend,
     scenario,
 )
-from repro.workloads.spec import WorkloadSpec
+
+if TYPE_CHECKING:  # the runtimes load where a scheme runs
+    from repro.recovery.report import RunReport
+    from repro.workloads.spec import WorkloadSpec
 
 __all__ = ["run_strategy_comparison", "run_scheme_replications"]
 
@@ -44,6 +45,7 @@ METRIC_COLUMNS = ("makespan", "slowdown", "rollbacks", "mean_rollback_distance",
 
 def _run_scheme(scheme: str, workload: WorkloadSpec, seed: int,
                 sync_interval: float) -> RunReport:
+    from repro.recovery import make_runtime
     return make_runtime(scheme, workload, seed=seed,
                         sync_interval=sync_interval).run()
 

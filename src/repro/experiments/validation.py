@@ -18,12 +18,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.intervals import extract_intervals, summarize_intervals
-from repro.core.recovery_line import LatestRPRecoveryLineDetector
 from repro.experiments.common import ExperimentResult
-from repro.markov.montecarlo import ModelSimulator
 from repro.runner import ExecutionContext, run_scenario, scenario
-from repro.workloads.generators import paper_table1_case
 
 __all__ = ["run_validation"]
 
@@ -39,6 +35,11 @@ class _HistoryTask:
 
 def _history_mean(task: _HistoryTask) -> Tuple[float, int]:
     """Generate one history and return (mean interval, interval count)."""
+    from repro.core.intervals import extract_intervals, summarize_intervals
+    from repro.core.recovery_line import LatestRPRecoveryLineDetector
+    from repro.markov.montecarlo import ModelSimulator
+    from repro.workloads.generators import paper_table1_case
+
     params = paper_table1_case(task.case)
     history = ModelSimulator(params, seed=task.seed).generate_history(task.duration)
     observations = extract_intervals(history, LatestRPRecoveryLineDetector())

@@ -35,11 +35,6 @@ class ContaminationAnalysis:
     fault_time: float
     infection_times: Dict[ProcessId, float]
 
-    def is_contaminated(self, process: ProcessId, time: float) -> bool:
-        """Whether *process* is contaminated at *time* (no recovery considered)."""
-        infected_at = self.infection_times.get(process)
-        return infected_at is not None and time >= infected_at
-
     @property
     def reach(self) -> int:
         """Number of processes the error reached (including the origin)."""

@@ -41,8 +41,7 @@ from repro.markov.structure_cache import structure_for
 if TYPE_CHECKING:
     from scipy import sparse
 
-__all__ = ["build_generator", "build_generator_sparse", "build_phase_type",
-           "transition_rate"]
+__all__ = ["build_generator", "build_generator_sparse", "build_phase_type"]
 
 
 def build_generator(params: SystemParameters) -> Tuple[np.ndarray, AsyncStateSpace]:
@@ -181,16 +180,6 @@ def build_generator_sparse(params: SystemParameters
     from scipy import sparse
     H = sparse.coo_matrix((val, (row, col)), shape=(m, m)).tocsr()
     return H, space
-
-
-def transition_rate(params: SystemParameters, source: int, dest: int) -> float:
-    """Rate of the ``source → dest`` transition (state indices); 0 if none.
-
-    Convenience accessor used by tests that check individual rules without building
-    the whole matrix.
-    """
-    H, _space = build_generator(params)
-    return float(H[source, dest])
 
 
 def build_phase_type(params: SystemParameters, *,

@@ -9,18 +9,18 @@ lumped (symmetric) chain automatically and caching the expensive pieces.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.core.parameters import SystemParameters
 from repro.markov.ctmc import PhaseType
 from repro.markov.generator import build_generator, build_phase_type
-from repro.markov.montecarlo import ModelSimulator, SimulatedIntervals
 from repro.markov.operators import check_backend_name, select_backend
-from repro.markov.simplified import SimplifiedChain
-from repro.markov.split_chain import absorption_by_process, expected_rp_counts
 from repro.markov.state_space import AsyncStateSpace
+
+if TYPE_CHECKING:
+    from repro.markov.montecarlo import SimulatedIntervals
 
 __all__ = ["RecoveryLineIntervalModel"]
 
@@ -78,6 +78,7 @@ class RecoveryLineIntervalModel:
     def phase_type(self) -> PhaseType:
         """Phase-type distribution of ``X``."""
         if self.uses_simplified_chain:
+            from repro.markov.simplified import SimplifiedChain
             lam = float(self.params.lam[0, 1]) if self.params.n >= 2 else 0.0
             chain = SimplifiedChain(n=self.params.n, mu=float(self.params.mu[0]),
                                     lam=lam)
@@ -144,6 +145,7 @@ class RecoveryLineIntervalModel:
     # ------------------------------------------------------------------ counts L_i
     def expected_rp_counts(self, counting: str = "interior") -> np.ndarray:
         """``E[L_i]`` for each process (see :mod:`repro.markov.split_chain`)."""
+        from repro.markov.split_chain import expected_rp_counts
         return expected_rp_counts(self.params, counting=counting,
                                   phase_type=self._counting_phase_type)
 
@@ -153,6 +155,7 @@ class RecoveryLineIntervalModel:
 
     def completion_probabilities(self) -> np.ndarray:
         """``q_i`` — probability the next line is completed by ``P_i``'s RP."""
+        from repro.markov.split_chain import absorption_by_process
         return absorption_by_process(self.params,
                                      phase_type=self._counting_phase_type)
 
@@ -160,6 +163,7 @@ class RecoveryLineIntervalModel:
     def simulate(self, n_intervals: int, seed: Optional[int] = None
                  ) -> SimulatedIntervals:
         """Monte-Carlo sample of the model (the paper's Table 1 methodology)."""
+        from repro.markov.montecarlo import ModelSimulator
         return ModelSimulator(self.params, seed=seed).sample_intervals(n_intervals)
 
     def validation_report(self, n_intervals: int = 20_000,

@@ -13,25 +13,20 @@ package models that structure:
   by :class:`~repro.core.parameters.SystemParameters`.
 """
 
-from repro.processes.program import Alternate, RecoveryBlockSpec, RecoveryBlockExecutor, BlockOutcome
-from repro.processes.acceptance import AcceptanceTestModel, PerfectAcceptanceTest, CoverageAcceptanceTest
-from repro.processes.communication import (
-    all_pairs_rates,
-    ring_rates,
-    producer_consumer_rates,
-    star_rates,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Alternate",
-    "RecoveryBlockSpec",
-    "RecoveryBlockExecutor",
-    "BlockOutcome",
-    "AcceptanceTestModel",
-    "PerfectAcceptanceTest",
-    "CoverageAcceptanceTest",
-    "all_pairs_rates",
-    "ring_rates",
-    "producer_consumer_rates",
-    "star_rates",
-]
+#: Public name -> the submodule that defines it, resolved on first use.
+_EXPORTS = {
+    **dict.fromkeys(("Alternate", "RecoveryBlockSpec",
+                     "RecoveryBlockExecutor", "BlockOutcome"),
+                    "repro.processes.program"),
+    **dict.fromkeys(("AcceptanceTestModel", "PerfectAcceptanceTest",
+                     "CoverageAcceptanceTest"), "repro.processes.acceptance"),
+    **dict.fromkeys(("all_pairs_rates", "ring_rates",
+                     "producer_consumer_rates", "star_rates"),
+                    "repro.processes.communication"),
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -15,7 +15,7 @@ import platform
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro._version import __version__
+from repro import __version__
 from repro.experiments.common import ExperimentResult
 from repro.report.figures import Artifact, figure_backend
 

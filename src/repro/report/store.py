@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Dict, Iterator, List, Optional
 
-from repro._version import __version__
+from repro import __version__
 from repro.experiments.common import ExperimentResult
 
 __all__ = ["ResultStore", "StoreRecord", "canonical_params",

@@ -12,13 +12,14 @@ experiment layer into three pieces:
 ``backends``
     Pluggable execution backends: :class:`SerialBackend` runs replications in
     the driver process, :class:`ProcessPoolBackend` fans them out across worker
-    processes via :mod:`concurrent.futures`.
+    processes via :mod:`concurrent.futures`.  The :class:`ExecutionContext`
+    carries a backend, the replication budget and a root
+    :class:`numpy.random.SeedSequence`.  Monte-Carlo work is sharded into
+    fixed-size tasks whose seeds are spawned *in the driver*, so serial and
+    parallel runs of the same seed are bit-for-bit identical.
 ``runner``
     :class:`ExperimentRunner` / :func:`run_scenario`, which hand each scenario
-    an :class:`ExecutionContext` carrying the backend, the replication budget
-    and a root :class:`numpy.random.SeedSequence`.  Monte-Carlo work is sharded
-    into fixed-size tasks whose seeds are spawned *in the driver*, so serial
-    and parallel runs of the same seed are bit-for-bit identical.
+    an :class:`ExecutionContext`.
 
 The runner also carries the persistence seam of the reporting layer: attach a
 :class:`~repro.report.store.ResultStore` (``ExperimentRunner(store=...)``) and
@@ -32,50 +33,25 @@ and renders the paper artifacts plus a provenance-stamped ``REPORT.md``
 (``report``).
 """
 
-from repro.runner.backends import (
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    make_backend,
-)
-from repro.runner.registry import (
-    DuplicateScenarioError,
-    ScenarioSpec,
-    get_scenario,
-    list_scenarios,
-    load_builtin_scenarios,
-    register_scenario,
-    scenario,
-    unregister_scenario,
-)
-from repro.runner.runner import (
-    DEFAULT_SHARD_SIZE,
-    ExecutionContext,
-    ExperimentRunner,
-    RunRecord,
-    run_scenario,
-    seed_to_int,
-    shard_counts,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_SHARD_SIZE",
-    "DuplicateScenarioError",
-    "ExecutionBackend",
-    "ExecutionContext",
-    "ExperimentRunner",
-    "ProcessPoolBackend",
-    "RunRecord",
-    "ScenarioSpec",
-    "SerialBackend",
-    "get_scenario",
-    "list_scenarios",
-    "load_builtin_scenarios",
-    "make_backend",
-    "register_scenario",
-    "run_scenario",
-    "scenario",
-    "seed_to_int",
-    "shard_counts",
-    "unregister_scenario",
-]
+#: Public name -> the submodule that defines it, resolved on first use so
+#: that evaluating a cell (which needs only a backend and a context) loads
+#: neither the scenario registry nor the runner.
+_EXPORTS = {
+    **dict.fromkeys(("DEFAULT_SHARD_SIZE", "ExecutionBackend",
+                     "ExecutionContext", "ProcessPoolBackend",
+                     "SerialBackend", "make_backend", "seed_to_int",
+                     "shard_counts"), "repro.runner.backends"),
+    **dict.fromkeys(("DuplicateScenarioError", "ScenarioSpec",
+                     "get_scenario", "list_scenarios",
+                     "load_builtin_scenarios", "register_scenario",
+                     "scenario", "unregister_scenario"),
+                    "repro.runner.registry"),
+    **dict.fromkeys(("ExperimentRunner", "RunRecord", "run_scenario"),
+                    "repro.runner.runner"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

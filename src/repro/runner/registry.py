@@ -156,16 +156,15 @@ def unregister_scenario(name: str) -> None:
 def load_builtin_scenarios() -> None:
     """Import every module that registers built-in scenarios.
 
-    Covers the scenario modules of :mod:`repro.experiments` (the paper
-    artefacts, listed by name in ``SCENARIO_MODULES``) and :mod:`repro.api`
-    (the facade's internal ``evaluate`` scenario).  Idempotent: the imports
-    are cached, and re-registration of the same functions is a no-op.  Kept
-    lazy (a function, not a module-level import) so that ``repro.runner``
-    itself never depends on the experiment layer.
+    Covers the scenario modules of :mod:`repro.experiments`, listed by name
+    in ``SCENARIO_MODULES``: the paper artefacts and the facade's internal
+    ``evaluate`` scenario.  Idempotent: the imports are cached, and
+    re-registration of the same functions is a no-op.  Kept lazy (a
+    function, not a module-level import) so that ``repro.runner`` itself
+    never depends on the experiment layer.
     """
     from importlib import import_module
 
-    import repro.api  # noqa: F401  (registers the 'evaluate' scenario)
     from repro.experiments import SCENARIO_MODULES
 
     for name in SCENARIO_MODULES:

@@ -1,20 +1,8 @@
-"""The experiment runner: execution contexts, seed streams and sharding.
+"""The experiment runner: resolve a scenario, run it in an execution context.
 
-Determinism contract
---------------------
-All randomness a scenario consumes is derived from one root
-:class:`numpy.random.SeedSequence` held by the :class:`ExecutionContext`.
-Per-replication (or per-shard) child sequences are spawned *in the driver
-process, in a fixed order* (:meth:`ExecutionContext.spawn_seeds`), attached to
-the task payloads, and only then handed to the backend.  Workers never touch
-the root sequence, and backends return results in task order — so for a fixed
-seed the assembled :class:`~repro.experiments.common.ExperimentResult` is
-bit-for-bit identical whether the tasks ran serially or across a process pool,
-with any worker count.
-
-Sharding follows the same rule: a Monte-Carlo budget of ``N`` replications is
-split into fixed-size shards (:func:`shard_counts`) whose sizes depend only on
-``N`` — never on the backend or worker count.
+The :class:`~repro.runner.backends.ExecutionContext` a scenario receives
+carries the determinism contract (seed streams spawned in the driver,
+backend-independent shards); see :mod:`repro.runner.backends`.
 
 Persistence hook
 ----------------
@@ -34,111 +22,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Any, Callable, Iterable, List, Optional,
-                    Sequence, TypeVar, Union)
+from typing import Any, Optional, Union
 
-from repro.runner.backends import ExecutionBackend, SerialBackend, make_backend
+from repro.runner.backends import (ExecutionBackend, ExecutionContext,
+                                   make_backend)
 from repro.runner.registry import ScenarioSpec, get_scenario, load_builtin_scenarios
 
-if TYPE_CHECKING:  # numpy loads when the first seed is spawned
-    import numpy as np
-
-__all__ = [
-    "DEFAULT_SHARD_SIZE",
-    "ExecutionContext",
-    "ExperimentRunner",
-    "RunRecord",
-    "run_scenario",
-    "seed_to_int",
-    "shard_counts",
-]
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-#: Replications per shard.  Fixed (backend- and worker-independent) so that the
-#: shard layout — and therefore the seed stream and the results — depends only
-#: on the total budget.  Small enough to load ~10 workers on the default
-#: Table 1 budget, large enough that per-task overhead stays negligible.
-DEFAULT_SHARD_SIZE = 2_000
-
-
-def shard_counts(total: int, shard_size: int = DEFAULT_SHARD_SIZE) -> List[int]:
-    """Split *total* replications into fixed-size shards (last one ragged)."""
-    if total < 1:
-        raise ValueError("need at least one replication")
-    if shard_size < 1:
-        raise ValueError("shard_size must be >= 1")
-    full, rest = divmod(total, shard_size)
-    return [shard_size] * full + ([rest] if rest else [])
-
-
-def seed_to_int(seq: np.random.SeedSequence) -> int:
-    """Deterministic 64-bit integer seed from a :class:`SeedSequence`.
-
-    For legacy components whose API takes an ``int`` seed (the recovery-scheme
-    runtimes, :class:`~repro.sim.random_streams.RandomStreams`).
-    """
-    import numpy as np
-    lo, hi = seq.generate_state(2, dtype=np.uint32)
-    return (int(hi) << 32) | int(lo)
-
-
-class ExecutionContext:
-    """What the runner injects into a scenario function.
-
-    Carries the execution backend, the requested replication budget and the
-    root seed sequence.  Scenario code expresses Monte-Carlo work as *tasks*
-    (picklable payloads, each holding a spawned child seed) and runs them with
-    :meth:`map`; everything else — analytic computation, result assembly — runs
-    in the driver.
-    """
-
-    def __init__(self, backend: Optional[ExecutionBackend] = None,
-                 seed: Optional[int] = None, reps: Optional[int] = None) -> None:
-        self.backend = backend if backend is not None else SerialBackend()
-        self.seed = seed
-        self.reps = reps
-        # Created on first spawn: for seed=None the SeedSequence gathers OS
-        # entropy, which purely analytic evaluations should never pay for.
-        self._root: Optional[np.random.SeedSequence] = None
-
-    # ------------------------------------------------------------------ seeds
-    def spawn_seeds(self, n: int) -> List[np.random.SeedSequence]:
-        """Spawn *n* fresh child seed sequences from the root.
-
-        Successive calls continue the spawn counter, so a scenario that calls
-        this in a fixed order gets the same seed stream on every backend.
-        """
-        if n < 0:
-            raise ValueError("cannot spawn a negative number of seeds")
-        if self._root is None:
-            import numpy as np
-            self._root = np.random.SeedSequence(self.seed)
-        return list(self._root.spawn(n)) if n else []
-
-    def spawn_seed(self) -> np.random.SeedSequence:
-        """Spawn a single child seed sequence."""
-        return self.spawn_seeds(1)[0]
-
-    # ------------------------------------------------------------------ reps
-    def reps_or(self, default: int) -> int:
-        """The requested replication budget, or *default* when unspecified."""
-        reps = default if self.reps is None else self.reps
-        if reps < 1:
-            raise ValueError("replication budget must be >= 1")
-        return reps
-
-    def shards_for(self, total: int,
-                   shard_size: int = DEFAULT_SHARD_SIZE) -> List[int]:
-        """Shard sizes for *total* replications (backend independent)."""
-        return shard_counts(total, shard_size)
-
-    # ------------------------------------------------------------------ execution
-    def map(self, func: Callable[[T], R], tasks: Iterable[T]) -> List[R]:
-        """Run picklable *tasks* through the backend; results in task order."""
-        return self.backend.map(func, list(tasks))
-
+__all__ = ["ExperimentRunner", "RunRecord", "run_scenario"]
 
 @dataclass(frozen=True)
 class RunRecord:

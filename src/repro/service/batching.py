@@ -22,18 +22,17 @@ from __future__ import annotations
 import asyncio
 from typing import Callable, Dict, List, Optional
 
-# The pool's workers fork from the service, so the worker-side modules of
-# every engine load here, once, instead of in each worker on its first batch:
-# the analytic and mc engines (which load on first plan elsewhere) with the
-# LAPACK binding and the scipy modules of the sparse and expm paths, the
-# strategy engine (registered on first use) with its runtimes, and the
-# system builders behind SystemSpec.build.
-import scipy.linalg  # noqa: F401
-import scipy.sparse.linalg  # noqa: F401
-
+# The pool's workers fork from the service, so every engine's worker-side
+# modules load here, once, not in each worker on its first batch.  scipy is
+# left out (it would cost every start ~0.2 s): the service imports it when
+# it plans the first cell that calls it, and a worker forked before that
+# imports it on its first such cell.
 import repro.api.strategy  # noqa: F401
 import repro.markov.montecarlo  # noqa: F401
 import repro.markov.recovery_line_interval  # noqa: F401
+import repro.markov.simplified  # noqa: F401
+import repro.markov.split_chain  # noqa: F401
+import repro.processes.communication  # noqa: F401
 import repro.recovery  # noqa: F401
 import repro.util.blas  # noqa: F401
 import repro.workloads.generators  # noqa: F401

@@ -20,7 +20,7 @@ resolved on the loop, so joiners wake in the ordinary asyncio way.
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 __all__ = ["SingleFlight"]
 
@@ -59,9 +59,6 @@ class SingleFlight:
         future.add_done_callback(lambda _f, _k=key: self._flights.pop(_k, None))
         self.flights += 1
         return future, True
-
-    def peek(self, key: str) -> Optional[asyncio.Future]:
-        return self._flights.get(key)
 
     def pending(self) -> Tuple[asyncio.Future, ...]:
         """A snapshot of the active flight futures (for drain/shutdown)."""

@@ -10,9 +10,11 @@ hygiene for discrete-event simulation studies.
 from __future__ import annotations
 
 import zlib
+from functools import lru_cache
 from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = ["RandomStreams"]
 
@@ -35,6 +37,29 @@ def _stable_digest(name: str) -> int:
     return zlib.crc32(name.encode("utf-8")) & 0xFFFFFFFF
 
 
+@lru_cache(maxsize=4096)
+def _pcg64_words(entropy, spawn_key: Tuple[int, ...]) -> np.ndarray:
+    """The read-only words ``SeedSequence(entropy, spawn_key)`` seeds
+    ``PCG64`` with.  A strategy sweep's common random numbers repeat most
+    named streams across cells, so each is hashed once."""
+    words = np.random.SeedSequence(entropy, spawn_key=spawn_key) \
+        .generate_state(4, np.uint64)
+    words.flags.writeable = False
+    return words
+
+
+class _SeedWords(ISeedSequence):
+    """A seed sequence that hands ``PCG64`` its precomputed seeding words."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("only PCG64's four uint64 seeding words")
+        return self._words
+
+
 def _buffered(rng: np.random.Generator, sampler) -> Iterator[float]:
     """Endless variates of *rng*, drawn :data:`_BUFFER_SIZE` at a time."""
     while True:
@@ -48,7 +73,7 @@ class RandomStreams:
 
     def __init__(self, seed: Optional[int] = None) -> None:
         self._seed_seq = np.random.SeedSequence(seed)
-        self._root = np.random.default_rng(self._seed_seq)
+        self._root: Optional[np.random.Generator] = None
         self._streams: Dict[str, np.random.Generator] = {}
         # (name, law) -> (pinned law parameters, buffered variate iterator).
         self._sources: Dict[Tuple[str, str], Tuple[tuple, Iterator[float]]] = {}
@@ -56,6 +81,8 @@ class RandomStreams:
     @property
     def root(self) -> np.random.Generator:
         """The root generator (use sparingly; prefer named streams)."""
+        if self._root is None:
+            self._root = np.random.default_rng(self._seed_seq)
         return self._root
 
     def stream(self, name: str) -> np.random.Generator:
@@ -68,11 +95,12 @@ class RandomStreams:
             # Derive a child seed from the name so stream identity is stable even
             # if creation order changes between runs.  The parent's own spawn key is
             # included so that spawned families stay independent of each other.
-            digest = _stable_digest(name)
-            child = np.random.SeedSequence(entropy=self._seed_seq.entropy,
-                                           spawn_key=tuple(self._seed_seq.spawn_key)
-                                           + (digest,))
-            self._streams[name] = np.random.default_rng(child)
+            entropy = self._seed_seq.entropy
+            words = _pcg64_words(
+                entropy if np.ndim(entropy) == 0 else tuple(entropy),
+                tuple(self._seed_seq.spawn_key) + (_stable_digest(name),))
+            self._streams[name] = np.random.Generator(
+                np.random.PCG64(_SeedWords(words)))
         return self._streams[name]
 
     # ------------------------------------------------------------------ helpers
@@ -163,7 +191,7 @@ class RandomStreams:
         child = RandomStreams.__new__(RandomStreams)
         child._seed_seq = np.random.SeedSequence(entropy=self._seed_seq.entropy,
                                                  spawn_key=(digest, 1))
-        child._root = np.random.default_rng(child._seed_seq)
+        child._root = None
         child._streams = {}
         child._sources = {}
         return child

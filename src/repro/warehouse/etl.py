@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from repro._version import __version__
+from repro import __version__
 from repro.warehouse.schema import connect, float_hex, _sql_value
 
 __all__ = ["LoadSummary", "load_store"]

@@ -8,25 +8,20 @@ run under the asynchronous, synchronized and PRP runtimes for a like-for-like
 comparison.
 """
 
-from repro.workloads.spec import FaultModel, WorkloadSpec
-from repro.workloads.generators import (
-    paper_table1_case,
-    paper_figure6_case,
-    homogeneous_workload,
-    pipeline_workload,
-    realtime_control_workload,
-)
-from repro.workloads.trace import TraceEvent, TraceWorkload, history_from_trace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FaultModel",
-    "WorkloadSpec",
-    "paper_table1_case",
-    "paper_figure6_case",
-    "homogeneous_workload",
-    "pipeline_workload",
-    "realtime_control_workload",
-    "TraceEvent",
-    "TraceWorkload",
-    "history_from_trace",
-]
+#: Public name -> the submodule that defines it, resolved on first use so
+#: that building a workload loads no trace replayer.
+_EXPORTS = {
+    **dict.fromkeys(("FaultModel", "WorkloadSpec"), "repro.workloads.spec"),
+    **dict.fromkeys(("paper_table1_case", "paper_figure6_case",
+                     "homogeneous_workload", "pipeline_workload",
+                     "realtime_control_workload"),
+                    "repro.workloads.generators"),
+    **dict.fromkeys(("TraceEvent", "TraceWorkload", "history_from_trace"),
+                    "repro.workloads.trace"),
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -11,14 +11,16 @@ catastrophic failure").
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.parameters import SystemParameters
-from repro.processes.communication import all_pairs_rates, producer_consumer_rates
-from repro.processes.program import RecoveryBlockSpec
-from repro.workloads.spec import FaultModel, WorkloadSpec
+
+# The workload builders import the process and workload models where they
+# build one, so the paper's parameter cases load neither.
+if TYPE_CHECKING:
+    from repro.workloads.spec import WorkloadSpec
 
 __all__ = [
     "TABLE1_CASES",
@@ -66,38 +68,16 @@ def paper_figure6_case(case: int) -> SystemParameters:
     return SystemParameters.three_process(mu, lam)
 
 
-def heterogeneous_parameters(n: int, *, mu_base: float = 1.0,
-                             mu_gradient: float = 1.0,
-                             lam_base: float = 0.5,
-                             locality: float = 1.0) -> SystemParameters:
-    """Build the non-exchangeable parameter family of the heterogeneous sweep
-    (the ``heterogeneous`` system kind of a StudySpec).
-
-    ``μ_i`` ramps geometrically from ``mu_base`` (process 0) to
-    ``mu_base · mu_gradient`` (process n−1); ``λ_ij = lam_base / (1 +
-    locality·|i−j|)`` decays with process distance (a line-topology locality
-    model).  ``mu_gradient = 1`` and ``locality = 0`` recover the symmetric
-    system, which is the cross-check used in tests.
-    """
-    if n < 1:
-        raise ValueError("need at least one process")
-    if mu_gradient <= 0.0:
-        raise ValueError("mu_gradient must be strictly positive")
-    if locality < 0.0:
-        raise ValueError("locality must be non-negative")
-    exponents = np.arange(n) / max(n - 1, 1)
-    mu = mu_base * np.power(mu_gradient, exponents)
-    idx = np.arange(n)
-    distance = np.abs(idx[:, None] - idx[None, :])
-    lam = lam_base / (1.0 + locality * distance)
-    np.fill_diagonal(lam, 0.0)
-    return SystemParameters(mu=mu, lam=lam)
+#: The heterogeneous sweep's rate family (the ``heterogeneous`` system kind).
+heterogeneous_parameters = SystemParameters.heterogeneous
 
 
 def homogeneous_workload(n: int = 3, *, mu: float = 1.0, lam: float = 1.0,
                          work: float = 50.0, error_rate: float = 0.02,
                          checkpoint_cost: float = 0.02) -> WorkloadSpec:
     """A symmetric all-pairs workload (the paper's canonical setting)."""
+    from repro.processes.communication import all_pairs_rates
+    from repro.workloads.spec import FaultModel, WorkloadSpec
     params = SystemParameters(mu=[mu] * n, lam=all_pairs_rates(n, lam))
     return WorkloadSpec(params=params, work_per_process=work,
                         checkpoint_cost=checkpoint_cost,
@@ -142,6 +122,8 @@ def strategy_workload(n: int, *, mu: float = 1.0, mu_spread: float = 1.0,
     correlated-fault block of the spec schema (``groups``,
     ``common_mode_rate``, ``propagation_probability``, ``cascade_depth``).
     """
+    from repro.processes.communication import all_pairs_rates
+    from repro.workloads.spec import FaultModel, WorkloadSpec
     params = SystemParameters(mu=spread_rates(n, mu, mu_spread),
                               lam=all_pairs_rates(n, lam))
     correlated = dict(fault_model or {})
@@ -165,6 +147,9 @@ def pipeline_workload(n: int = 4, *, mu: float = 1.0, lam: float = 2.0,
                       work: float = 40.0, error_rate: float = 0.03,
                       checkpoint_cost: float = 0.02) -> WorkloadSpec:
     """A producer/consumer pipeline: heavy neighbour traffic, classic domino risk."""
+    from repro.processes.communication import producer_consumer_rates
+    from repro.processes.program import RecoveryBlockSpec
+    from repro.workloads.spec import FaultModel, WorkloadSpec
     params = SystemParameters(mu=[mu] * n, lam=producer_consumer_rates(n, lam))
     return WorkloadSpec(params=params, work_per_process=work,
                         checkpoint_cost=checkpoint_cost,
@@ -184,6 +169,9 @@ def realtime_control_workload(n: int = 3, *, cycle_rate: float = 2.0,
     rollback distance is unbounded, which the strategy-comparison experiment makes
     measurable.  ``deadline`` is carried via ``max_sim_time`` scaling when given.
     """
+    from repro.processes.communication import all_pairs_rates
+    from repro.processes.program import RecoveryBlockSpec
+    from repro.workloads.spec import FaultModel, WorkloadSpec
     params = SystemParameters(mu=[cycle_rate] * n,
                               lam=all_pairs_rates(n, coupling))
     max_time = 1e6 if deadline is None else max(deadline * 10.0, work * 10.0)

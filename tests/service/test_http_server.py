@@ -14,6 +14,7 @@ from repro.api import StudySpec, SystemSpec, evaluate
 from repro.runner.backends import ProcessPoolBackend
 from repro.service import (EvaluationServer, EvaluationService,
                            ServiceHTTPClient)
+from repro.service import server as server_module
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 
@@ -217,6 +218,95 @@ class TestMalformedContentLength:
         payload = json.loads(raw.decode("utf-8"))
         assert payload["ok"] is False
         assert repr(declared) in payload["error"]
+
+
+async def _raw_exchange(server, chunks, pause=0.0):
+    """Write *chunks* on a raw connection (pausing *pause* s before the
+    last one), then read until the server closes; the raw response."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+    for i, chunk in enumerate(chunks):
+        if pause and i == len(chunks) - 1:
+            await asyncio.sleep(pause)
+        writer.write(chunk)
+        await writer.drain()
+    response = await asyncio.wait_for(reader.read(), 30)
+    writer.close()
+    await writer.wait_closed()
+    return response
+
+
+def _status_and_payload(response):
+    head, _, raw = response.partition(b"\r\n\r\n")
+    assert b"connection: close" in head.lower()
+    return head.split(b"\r\n")[0], json.loads(raw.decode("utf-8"))
+
+
+class TestRequestBounds:
+    # Regression: a request line or header past asyncio's 64 KiB line limit
+    # raised ValueError out of _read_request, so the client saw the
+    # connection drop with no response; headers were unbounded in number
+    # and a stalled request held its connection forever.
+
+    def test_request_line_past_the_line_limit_is_431(self):
+        line = f"GET /v1/health?{'a' * 70_000} HTTP/1.1\r\n\r\n"
+        response = _run_with_server(
+            lambda server: _raw_exchange(server, [line.encode("latin-1")]))
+        status, payload = _status_and_payload(response)
+        assert status == b"HTTP/1.1 431 Request Header Fields Too Large"
+        assert payload["ok"] is False and "too long" in payload["error"]
+
+    def test_header_past_the_line_limit_is_431(self):
+        request = ("GET /v1/health HTTP/1.1\r\n"
+                   f"X-Big: {'b' * 70_000}\r\n\r\n")
+        response = _run_with_server(
+            lambda server: _raw_exchange(server, [request.encode("latin-1")]))
+        status, _payload = _status_and_payload(response)
+        assert status.startswith(b"HTTP/1.1 431 ")
+
+    def test_too_many_headers_is_431(self):
+        headers = "".join(f"X-H{i}: {i}\r\n"
+                          for i in range(server_module.MAX_HEADERS + 1))
+        request = f"GET /v1/health HTTP/1.1\r\n{headers}\r\n"
+        response = _run_with_server(
+            lambda server: _raw_exchange(server, [request.encode("latin-1")]))
+        status, payload = _status_and_payload(response)
+        assert status.startswith(b"HTTP/1.1 431 ")
+        assert str(server_module.MAX_HEADERS) in payload["error"]
+
+    def test_header_count_at_the_cap_is_served(self):
+        headers = "".join(f"X-H{i}: {i}\r\n"
+                          for i in range(server_module.MAX_HEADERS - 1))
+        request = (f"GET /v1/health HTTP/1.1\r\n{headers}"
+                   "Connection: close\r\n\r\n")
+        response = _run_with_server(
+            lambda server: _raw_exchange(server, [request.encode("latin-1")]))
+        assert response.startswith(b"HTTP/1.1 200 OK")
+
+    @pytest.mark.parametrize("stalled", ["headers", "body"])
+    def test_stalled_request_is_408(self, stalled, monkeypatch):
+        monkeypatch.setattr(server_module, "REQUEST_TIMEOUT_S", 0.3)
+        head = "POST /v1/evaluate HTTP/1.1\r\nContent-Length: 100\r\n"
+        sent = head if stalled == "headers" else head + "\r\n{\"spec\""
+        response = _run_with_server(
+            lambda server: _raw_exchange(server, [sent.encode("latin-1")]))
+        status, payload = _status_and_payload(response)
+        assert status == b"HTTP/1.1 408 Request Timeout"
+        assert "0.3 s" in payload["error"]
+
+    def test_idle_keep_alive_wait_is_not_timed(self, monkeypatch):
+        monkeypatch.setattr(server_module, "REQUEST_TIMEOUT_S", 0.2)
+
+        async def scenario(server):
+            client = ServiceHTTPClient(port=server.port)
+            first = await client.health()
+            await asyncio.sleep(0.6)          # idle past the timeout
+            second = await client.health()
+            await client.close()
+            return first, second, server.requests
+
+        first, second, requests = _run_with_server(scenario)
+        assert first == second == {"status": "ok", "service": "repro"}
+        assert requests == 2
 
 
 class TestClientConnectionHandling:

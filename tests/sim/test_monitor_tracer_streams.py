@@ -120,6 +120,27 @@ class TestRandomStreams:
         assert not np.allclose(parent.stream("x").random(3),
                                child.stream("x").random(3))
 
+    @pytest.mark.parametrize("family", ["seeded", "spawned", "list-entropy"])
+    def test_stream_is_the_seed_sequence_child_bit_for_bit(self, family):
+        """Named streams are seeded from memoised words; each must draw
+        exactly what a generator on the child ``SeedSequence`` draws."""
+        import zlib
+        streams = RandomStreams(2**70 + 3)
+        if family == "spawned":
+            streams = streams.spawn("rep-4")
+        elif family == "list-entropy":
+            streams._seed_seq = np.random.SeedSequence([1, 2, 3])
+        seq = streams._seed_seq
+        for name in ("rp:0", "fault", "rp:0"):
+            child = np.random.SeedSequence(
+                entropy=seq.entropy,
+                spawn_key=tuple(seq.spawn_key) + (zlib.crc32(name.encode()),))
+            fresh = RandomStreams.__new__(RandomStreams)
+            fresh.__dict__.update(streams.__dict__, _streams={})
+            drawn = fresh.stream(name).random(6)
+            assert drawn.tobytes() == \
+                np.random.default_rng(child).random(6).tobytes()
+
 
 class TestTracer:
     def test_checkpoints_land_in_history_and_log(self):

@@ -154,6 +154,120 @@ class TestImportSets:
         assert loaded(modules, ("numpy", "scipy")) == []
 
 
+#: Not on a one-cell dense analytic cell's path: the history and rollback
+#: model, the sampler, the split and lumped chains, the process models and
+#: the trace replayer, the scenario registry and runner.
+OFF_DENSE_PATH = ("repro.core.history", "repro.core.rollback",
+                  "repro.core.events", "repro.core.recovery_line",
+                  "repro.core.intervals", "repro.core.types",
+                  "repro.markov.montecarlo", "repro.markov.split_chain",
+                  "repro.markov.dtmc", "repro.markov.simplified",
+                  "repro.markov.density", "repro.processes",
+                  "repro.workloads", "repro.runner.registry",
+                  "repro.runner.runner")
+
+#: Every ``repro`` module ``list`` loads: it imports the scenario modules to
+#: register them, and they import their engines where they compute.
+LIST_MODULES = {
+    "repro", "repro.__main__", "repro._lazy", "repro.analysis",
+    "repro.analysis.order_statistics", "repro.analysis.prp_overhead",
+    "repro.api", "repro.api.evaluation", "repro.api.evaluators",
+    "repro.api.execute", "repro.api.facade", "repro.api.spec", "repro.bench",
+    "repro.core", "repro.core.parameters", "repro.experiments",
+    *(f"repro.experiments.{name}" for name in SCENARIO_MODULES),
+    "repro.experiments.common", "repro.report", "repro.report.store",
+    "repro.runner", "repro.runner.backends", "repro.runner.registry",
+    "repro.runner.runner", "repro.util", "repro.util.tables",
+    "repro.util.validation", "repro.workloads", "repro.workloads.generators",
+}
+
+
+class TestOnlyThePath:
+    def test_one_cell_dense_eval_loads_at_most_30_repro_modules(self,
+                                                                 tmp_path):
+        spec = write_spec(tmp_path, "cell.json", ANALYTIC_CELL)
+        modules = modules_after(CLI, "eval", spec)
+        assert len(loaded(modules, ("repro",))) <= 30
+        assert loaded(modules, OFF_DENSE_PATH) == []
+
+    def test_list_loads_its_pinned_set(self):
+        modules = modules_after(CLI, "list")
+        assert set(loaded(modules, ("repro",))) == LIST_MODULES
+        assert loaded(modules, ("scipy", "repro.markov", "repro.recovery",
+                                "repro.sim", "repro.processes")) == []
+
+    def test_service_import_loads_no_scipy(self):
+        """The service preloads the engines its pool workers run, but no
+        scipy: a cell whose path calls scipy imports it when planned."""
+        modules = modules_after("import repro.service")
+        assert "repro.markov.recovery_line_interval" in modules
+        assert loaded(modules, ("scipy",)) == []
+
+    def test_scipy_cells_on_a_warm_pool_match_direct_evaluation(self):
+        """Workers forked before scipy was loaded import it on their first
+        ``pdf`` or sparse cell, and serve the bits ``repro.evaluate`` does."""
+        out = run_python("""
+            import asyncio, json, sys
+            from repro.api import StudySpec, evaluate
+            from repro.service import EvaluationService
+
+            def cell(**extra):
+                return {"system": {"kind": "heterogeneous", "n": 5,
+                                   "mu_base": 1.0, "mu_gradient": 2.0,
+                                   "lam_base": 0.5, "locality": 1.0},
+                        "sweep": {"lam_base": [0.5, 0.7]}, **extra}
+
+            def hexed(value):
+                if isinstance(value, float):
+                    return value.hex()
+                if isinstance(value, dict):
+                    return {k: hexed(v) for k, v in value.items()}
+                if isinstance(value, (list, tuple)):
+                    return [hexed(v) for v in value]
+                return value
+
+            async def main():
+                service = EvaluationService(backend="process", workers=2)
+                try:
+                    await service.submit({
+                        "system": {"kind": "symmetric", "n": 4, "mu": 1.0,
+                                   "lam": 0.5},
+                        "metrics": ["mean"], "seed": 7, "reps": 4000,
+                        "sweep": {"lam": [0.5, 0.6]}}, "mc")
+                    assert service.backend._pool is not None
+                    forked_without_scipy = not any(
+                        m.startswith("scipy") for m in sys.modules)
+                    outcomes = []
+                    for extra in ({"metrics": ["mean", "pdf"],
+                                   "times": [0.5, 1.0, 1.5]},
+                                  {"metrics": ["mean", "variance"],
+                                   "options": {"backend": "sparse"}}):
+                        result = await service.submit(cell(**extra),
+                                                      "analytic")
+                        outcomes.extend(result.cells)
+                finally:
+                    await service.drain()
+                    service.backend.close()
+                return forked_without_scipy, outcomes
+
+            forked_without_scipy, outcomes = asyncio.run(main())
+            pairs = [(hexed(o.evaluation.to_dict()),
+                      hexed(evaluate(o.spec, method="analytic").to_dict()))
+                     for o in outcomes]
+            print(json.dumps({"forked_without_scipy": forked_without_scipy,
+                              "sources": [o.source for o in outcomes],
+                              "backends": [o.evaluation.backend
+                                           for o in outcomes],
+                              "pairs": pairs}))
+        """)
+        report = json.loads(out.splitlines()[-1])
+        assert report["forked_without_scipy"]
+        assert report["sources"] == ["computed"] * 4
+        assert report["backends"][2:] == ["sparse", "sparse"]
+        for served, direct in report["pairs"]:
+            assert served == direct
+
+
 class TestServiceWarm:
     def test_pool_workers_import_nothing_new(self):
         """Importing the service loads the analytic and mc engines, and a
