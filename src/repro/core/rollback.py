@@ -148,7 +148,8 @@ def rollback_rows(history: HistoryDiagram, failed_process: ProcessId,
     # is a bisect cut.
     send_col, recv_col, src_col, dst_col, _ = history.interaction_columns()
     hi = bisect.bisect_right(send_col, failure_time)
-    gone = list(dead[:hi])
+    # What this propagation invalidates; *dead* holds the earlier rollbacks'.
+    marked: Set[int] = set()
     invalidated: List[int] = []
     iterations = 0
     changed = True
@@ -162,17 +163,17 @@ def rollback_rows(history: HistoryDiagram, failed_process: ProcessId,
         # with sorted receive times that whole prefix is skipped exactly.
         lo = (bisect.bisect_right(recv_col, min(horizon), 0, hi)
               if history.receive_sorted else 0)
-        for k, send, recv, src, dst in zip(
+        for k, send, recv, src, dst, was_dead in zip(
                 range(lo, hi), send_col[lo:hi], recv_col[lo:hi],
-                src_col[lo:hi], dst_col[lo:hi]):
-            if gone[k]:
+                src_col[lo:hi], dst_col[lo:hi], dead[lo:hi]):
+            if was_dead or k in marked:
                 continue
             # The interaction is an orphan if either endpoint falls in discarded
             # computation of its participant.
             if not (send > horizon[src]
                     or (recv > horizon[dst] and recv <= failure_time)):
                 continue
-            gone[k] = True
+            marked.add(k)
             invalidated.append(k)
             # Both participants must restart before their endpoint of the
             # interaction (the message and its effects are discarded).  The

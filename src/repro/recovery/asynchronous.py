@@ -72,12 +72,14 @@ class AsynchronousRuntime(RecoverySchemeRuntime):
         latest = lines[-1]
         for pid in range(self.n):
             self.store.purge_before(pid, latest.point_for(pid).time)
-        self._storage_level.update(self.now, self.store.count())
+        self._note_saved_states(self.now)
 
     def extra_metrics(self) -> Dict[str, float]:
-        report = self.monitor.report(self.now)
         return {
-            "avg_saved_states": report.get("avg.saved_states", 0.0),
-            "acceptance_tests": report.get("count.acceptance_tests", 0.0),
-            "errors_injected": report.get("count.errors_injected", 0.0),
+            # The time average of the saved states held, up to now.
+            "avg_saved_states": (self._saved_area + self._saved_level * (
+                self.now - self._saved_since)) / (self.now or 1e-300),
+            "acceptance_tests": float(self._acceptance_counter.value),
+            "errors_injected": float(
+                self.monitor.counter("errors_injected").value),
         }

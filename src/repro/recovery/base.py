@@ -4,11 +4,10 @@
 the tracer/history, the checkpoint store, and the three recurring event
 families every scheme needs — recovery-block boundaries, pairwise interactions
 and fault arrivals — and leaves the scheme-specific reactions to subclasses via
-three hooks:
-
-* :meth:`RecoverySchemeRuntime.on_block_boundary`
-* :meth:`RecoverySchemeRuntime.on_interaction`
-* :meth:`RecoverySchemeRuntime.on_error_detected`
+two hooks, :meth:`RecoverySchemeRuntime.on_block_boundary` and
+:meth:`RecoverySchemeRuntime.on_error_detected`.  Interactions and the ends
+of pauses never reach the engine's heap: :meth:`RecoverySchemeRuntime.run`
+handles them inline from two side heaps.
 
 Process state is kept in flat per-process columns (lists indexed by process
 id): useful work done, whether the process is running or paused
@@ -23,7 +22,7 @@ plan chose.
 from __future__ import annotations
 
 import abc
-from heapq import heappush as _heappush
+from heapq import heappop as _heappop, heappush as _heappush
 from typing import Dict, Iterable, List, Optional
 
 import numpy as np
@@ -88,7 +87,8 @@ class RecoverySchemeRuntime(abc.ABC):
         # flag flips (completion checks, rollback revival) so the per-event
         # completion checks are O(1) instead of a scan over the processes.
         self._n_done = 0
-        self._storage_level = self.monitor.level("saved_states", initial=n)
+        # Saved states held: area under the level so far, level, and since when.
+        self._saved_area, self._saved_level, self._saved_since = 0.0, n, 0.0
         # Hot-path hoists: run invariants resolved once here instead of through
         # two attribute hops (plus an f-string build) per simulation event.
         self._max_sim_time = workload.max_sim_time
@@ -96,7 +96,6 @@ class RecoverySchemeRuntime(abc.ABC):
         self._checkpoint_cost = workload.checkpoint_cost
         self._propagate_taint = workload.faults.propagate_via_messages
         self._fault_rate = float(workload.faults.error_rate)
-        self._interaction_counter = self.monitor.counter("interactions")
         self._acceptance_counter = self.monitor.counter("acceptance_tests")
         self._acceptance_failures = self.monitor.counter("acceptance_failures")
         # Every timer and coin reads its own named stream through a buffered
@@ -163,9 +162,17 @@ class RecoverySchemeRuntime(abc.ABC):
         # Direct handles on the engine's queue and sequence counter (both are
         # created once and never reassigned): the recurring timer chains below
         # push entries in SimulationEngine.schedule's exact format without
-        # paying its call frame on every one of the ~10^5 events per run.
+        # paying its call frame on every event.  Interaction timers
+        # ``(time, seq, pair)`` and pause ends ``(time, seq, pid)`` go on the
+        # side heaps.
         self._equeue = self.engine._queue
         self._eseq = self.engine._seq
+        self._iqueue: List[tuple] = []
+        self._rqueue: List[tuple] = []
+        # Checkpoints go through the tracer only while it keeps the event
+        # log (a sweep disables it before the run).
+        self._logging = True
+        self._append_checkpoint = self.tracer.record_checkpoint
 
     # ------------------------------------------------------------------ helpers
     @property
@@ -241,30 +248,6 @@ class RecoverySchemeRuntime(abc.ABC):
                   (now + next(self._block_draws[pid]), next(self._eseq),
                    self._fire_block_boundary, (pid,)))
 
-    def _fire_interaction(self, i: int, j: int, delays, coin) -> None:
-        now = self.engine._now
-        if now >= self._max_sim_time or self._n_done >= self.n:
-            return
-        done, running = self._done, self._running
-        if not (done[i] or done[j]) and running[i] and running[j]:
-            # Pick the message direction at random; the analytic model treats the
-            # interaction symmetrically, the taint model cares about direction.
-            if next(coin) < 0.5:
-                source, target = i, j
-            else:
-                source, target = j, i
-            taint = self._taint[source]
-            self.tracer.record_interaction(source, target, now,
-                                           now + self._message_latency,
-                                           tainted=taint is not None)
-            self._interaction_counter._count += 1  # inlined Counter.increment()
-            if self._propagate_taint and taint is not None \
-                    and self._taint[target] is None:
-                self._taint[target] = taint
-            self.on_interaction(source, target)
-        _heappush(self._equeue, (now + next(delays), next(self._eseq),
-                                 self._fire_interaction, (i, j, delays, coin)))
-
     def _fire_fault(self, pid: int) -> None:
         now = self.engine._now
         if now >= self._max_sim_time or self._n_done >= self.n:
@@ -334,13 +317,8 @@ class RecoverySchemeRuntime(abc.ABC):
         if duration <= 0.0:
             self.start_running(pid, now)
             return
-        _heappush(self._equeue, (now + duration, next(self._eseq),
-                                 self._resume, (pid,)))
-
-    def _resume(self, pid: int) -> None:
-        if not self._done[pid] and not self._running[pid]:
-            self._running[pid] = True
-            self._run_start[pid] = self.engine._now
+        # The run loop resumes *pid* at the first of its pending pause ends.
+        _heappush(self._rqueue, (now + duration, next(self._eseq), pid))
 
     # ------------------------------------------------------------------ checkpoints
     def take_checkpoint(self, pid: int, *, kind: CheckpointKind = CheckpointKind.REGULAR,
@@ -351,8 +329,17 @@ class RecoverySchemeRuntime(abc.ABC):
         the row saves the current work level and contamination.
         """
         now = self.engine._now
-        work = self._work
-        if self._running[pid] and not self._done[pid]:  # inlined _accrue()
+        row = self._save(pid, now, kind, origin,
+                         self._checkpoint_cost if charge_time else 0.0)
+        self._note_saved_states(now)
+        return row
+
+    def _save(self, pid: int, now: float, kind: CheckpointKind, origin,
+              cost: float) -> tuple:
+        """Write *pid*'s checkpoint, one history row that the store indexes,
+        and pause *pid* for *cost* (if positive)."""
+        work, running = self._work, self._running
+        if running[pid] and not self._done[pid]:  # inlined _accrue()
             delta = now - self._run_start[pid]
             if delta > 0.0:
                 work[pid] += delta
@@ -366,16 +353,20 @@ class RecoverySchemeRuntime(abc.ABC):
         else:  # pragma: no cover - defensive
             raise ValueError("cannot take an INITIAL checkpoint explicitly")
         taint = self._taint[pid]
-        row = self.tracer.record_checkpoint(pid, now, kind, origin, work[pid],
-                                            taint is not None, taint)
-        store = self.store
-        store.add(pid, row)
-        if charge_time and self._checkpoint_cost > 0.0:
-            self._pause(pid, self._checkpoint_cost, self._checkpoint_overhead)
-        # store._count is the maintained total behind CheckpointStore.count();
-        # read directly to skip a method call per checkpoint.
-        self._storage_level.update(now, store._count)
+        row = self._append_checkpoint(pid, now, kind, origin, work[pid],
+                                      taint is not None, taint)
+        self.store.add(pid, row)
+        if cost > 0.0:  # inlined _pause(): the work was accrued above
+            running[pid] = False
+            self._checkpoint_overhead[pid] += cost
+            _heappush(self._rqueue, (now + cost, next(self._eseq), pid))
         return row
+
+    def _note_saved_states(self, now: float) -> None:
+        """The number of saved states (store._count) may have changed."""
+        self._saved_area += self._saved_level * (now - self._saved_since)
+        self._saved_since = now
+        self._saved_level = self.store._count
 
     # ------------------------------------------------------------------ rollback
     def apply_rollback(self, failed_pid: int, restart: Dict[ProcessId, tuple],
@@ -452,9 +443,6 @@ class RecoverySchemeRuntime(abc.ABC):
     def on_block_boundary(self, pid: int) -> None:
         """A recovery-block boundary was reached by a running process."""
 
-    def on_interaction(self, source: int, target: int) -> None:
-        """A message was exchanged (default: nothing extra)."""
-
     def on_process_completed(self, pid: int) -> None:
         """Process *pid* finished its work budget (default: nothing extra)."""
 
@@ -476,8 +464,9 @@ class RecoverySchemeRuntime(abc.ABC):
             has_external_error=taint is not None and taint != pid, rng=rng)
         if not detected and taint is None:
             detected = acceptance.false_alarm(rng)
-        self.tracer.record_acceptance_test(pid, self.engine._now,
-                                           passed=not detected)
+        if self._logging:
+            self.tracer.record_acceptance_test(pid, self.engine._now,
+                                               passed=not detected)
         self._acceptance_counter._count += 1  # inlined Counter.increment()
         if detected:
             self._acceptance_failures._count += 1
@@ -520,6 +509,9 @@ class RecoverySchemeRuntime(abc.ABC):
         if self._started:
             raise RuntimeError("a runtime instance can only be run once")
         self._started = True
+        if self.tracer._log_disabled:
+            self._logging = False
+            self._append_checkpoint = self.history.append_checkpoint
         for pid in range(self.n):
             self.start_running(pid, 0.0)
         self.on_run_start()
@@ -530,18 +522,68 @@ class RecoverySchemeRuntime(abc.ABC):
                 schedule(next(self._fault_draws[pid]), self._fire_fault, pid)
         for g, draws in enumerate(self._common_mode_draws):
             schedule(next(draws), self._fire_common_mode, g)
-        for i, j, delays, coin in self._pairs:
-            schedule(next(delays), self._fire_interaction, i, j, delays, coin)
+        queue, iqueue, rqueue = self._equeue, self._iqueue, self._rqueue
+        eseq = self._eseq
+        for pair in self._pairs:
+            _heappush(iqueue, (next(pair[2]), next(eseq), pair))
 
-        n = self.n
-
-        def keep_going() -> bool:
-            return self._n_done < n
-
-        self.engine.run_while(keep_going, self._max_sim_time)
+        # The smallest (time, seq) of the three heaps goes next.  The first
+        # pending end of overlapping pauses resumes the process (unless it is
+        # done); any event past the horizon ends the run on its clock.
+        n, until, engine = self.n, self._max_sim_time, self.engine
+        done, running, run_start = self._done, self._running, self._run_start
+        taint, propagate = self._taint, self._propagate_taint
+        latency = self._message_latency
+        # The live run appends interactions in time order, so the history's
+        # columns stay sorted (the in-order case of append_interaction).
+        send, recv, src, dst, dead = self.history.interaction_columns()
+        log = self.tracer.record_interaction if self._logging else None
+        now = engine._now
+        while self._n_done < n and now < until:
+            if rqueue:
+                entry = rqueue[0]
+                if (not queue or entry < queue[0]) \
+                        and (not iqueue or entry < iqueue[0]):
+                    now, _seq, pid = _heappop(rqueue)
+                    if not done[pid] and not running[pid]:
+                        running[pid] = True
+                        run_start[pid] = now
+                    continue
+            if iqueue and (not queue or iqueue[0] < queue[0]):
+                now, _seq, pair = _heappop(iqueue)
+                if now >= until:
+                    break
+                i, j, delays, coin = pair
+                if running[i] and running[j] and not (done[i] or done[j]):
+                    # The direction matters to the taint model only.
+                    source, target = (i, j) if next(coin) < 0.5 else (j, i)
+                    origin = taint[source]
+                    if log is None:
+                        send.append(now)
+                        recv.append(now + latency)
+                        src.append(source)
+                        dst.append(target)
+                        dead.append(False)
+                    else:
+                        log(source, target, now, now + latency,
+                            tainted=origin is not None)
+                    if propagate and origin is not None \
+                            and taint[target] is None:
+                        taint[target] = origin
+                _heappush(iqueue, (now + next(delays), next(eseq), pair))
+            elif queue:
+                now, _seq, callback, args = _heappop(queue)
+                engine._now = now
+                callback(*args)
+            else:
+                break
+        engine._now = now
+        # The pending entries hold bound methods of this runtime: dropping
+        # them breaks that cycle, so refcounting frees a finished run.
+        queue.clear()
         # Final bookkeeping.
         for pid in range(n):
-            self._check_completion(pid, self.now)
+            self._check_completion(pid, now)
         return self._build_report()
 
     # ------------------------------------------------------------------ reporting

@@ -57,21 +57,24 @@ class PseudoRecoveryPointRuntime(RecoverySchemeRuntime):
             return
         self._broadcast_implantation(pid, self.take_checkpoint(pid))
         if self.purge_storage:
-            purged = self.store.purge_obsolete_pseudo_lines()
-            if purged:
-                self._storage_level.update(self.now, self.store.count())
+            if self.store.purge_obsolete_pseudo_lines():
+                self._note_saved_states(self.now)
 
     def _broadcast_implantation(self, origin_pid: int, row: tuple) -> None:
-        """Steps 1–2 of the implantation algorithm."""
+        """Steps 1–2 of the implantation algorithm: every other unfinished
+        process saves a PRP "upon the completion of the current instruction",
+        at once at the granularity of this simulation, so as one batch."""
         origin = (origin_pid, row[CP_INDEX])
+        now = self.engine._now
+        cost = self._checkpoint_cost
+        done = self._done
         for other in range(self.n):
-            if other == origin_pid or self._done[other]:
+            if other == origin_pid or done[other]:
                 continue
-            # "Upon the completion of the current instruction": effectively
-            # immediately at the granularity of this simulation.
-            self.take_checkpoint(other, kind=CheckpointKind.PSEUDO, origin=origin)
-            self._implantation_overhead += self.workload.checkpoint_cost
+            self._save(other, now, CheckpointKind.PSEUDO, origin, cost)
+            self._implantation_overhead += cost
             self._prp_counter._count += 1  # inlined Counter.increment()
+        self._note_saved_states(now)
 
     def on_error_detected(self, pid: int) -> None:
         assignment, visited = self._plan_pseudo_rollback(pid, self.now)

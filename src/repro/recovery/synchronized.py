@@ -178,7 +178,7 @@ class SynchronizedRuntime(RecoverySchemeRuntime):
             # Old states are no longer needed: rollback never crosses the line.
             for pid in range(self.n):
                 self.store.purge_before(pid, self.now)
-            self._storage_level.update(self.now, self.store.count())
+            self._note_saved_states(self.now)
 
         # Resume everyone and schedule the next request.
         self._sync_active = False

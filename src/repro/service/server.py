@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+from contextlib import suppress
 from typing import Dict, Optional, Tuple
 
 from repro.service.session import EvaluationService, SubmitOutcome
@@ -73,6 +74,15 @@ class _Refused(Exception):
         super().__init__(error)
         self.status = status
         self.drain = drain
+
+
+async def _discard(reader: asyncio.StreamReader, remaining: int) -> None:
+    """Read and drop up to *remaining* bytes, in bounded chunks."""
+    while remaining > 0:
+        chunk = await reader.read(min(65536, remaining))
+        if not chunk:
+            return
+        remaining -= len(chunk)
 
 
 def _encode_outcome(outcome: SubmitOutcome) -> Dict[str, object]:
@@ -133,14 +143,12 @@ class EvaluationServer:
                     # Drain a declared body (bounded chunks, nothing is
                     # retained) so the client's in-flight upload doesn't die
                     # on a reset before it reads the response, then answer
-                    # and close — the stream stays in sync either way.
+                    # and close; a client stalled mid-body is answered after
+                    # REQUEST_TIMEOUT_S.
                     self.requests += 1
-                    remaining = exc.drain
-                    while remaining > 0:
-                        chunk = await reader.read(min(65536, remaining))
-                        if not chunk:
-                            break
-                        remaining -= len(chunk)
+                    with suppress(asyncio.TimeoutError):
+                        await asyncio.wait_for(_discard(reader, exc.drain),
+                                               REQUEST_TIMEOUT_S)
                     await self._respond(writer, exc.status,
                                         {"ok": False, "error": str(exc)},
                                         keep_alive=False)
@@ -171,7 +179,9 @@ class EvaluationServer:
                                                 bytes]]:
         try:
             first = await reader.read(1)      # the idle wait: not timed
-        except ConnectionError:
+        except (ConnectionError, asyncio.CancelledError):
+            # Shutdown cancels a handler idling between requests: that is
+            # an ordinary close, not an error to report.
             return None
         if not first:
             return None

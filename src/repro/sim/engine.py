@@ -76,21 +76,6 @@ class SimulationEngine:
         callback(*args)
         return True
 
-    def run_while(self, keep_going: Callable[[], bool], until: float) -> None:
-        """Step until the queue drains, the clock reaches *until*, or
-        ``keep_going()`` turns False (checked once before every event, exactly
-        like an external ``while keep_going(): step()`` loop, minus the
-        per-event function-call overhead of :meth:`step`).
-        """
-        queue = self._queue
-        pop = heapq.heappop
-        while queue and self._now < until and keep_going():
-            time, _seq, callback, args = pop(queue)
-            if time > self._now:
-                self._now = time
-            self._processed += 1
-            callback(*args)
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run until the queue drains, *until* is reached, or *max_events* executed.
 

@@ -1,9 +1,13 @@
 """Unit tests for repro.core.rollback (rollback propagation / domino effect)."""
 
+import bisect
+import random
+
 import pytest
 
 from repro.core.history import HistoryDiagram
-from repro.core.rollback import is_domino, propagate_rollback, rollback_distance
+from repro.core.rollback import (is_domino, propagate_rollback,
+                                 rollback_distance, rollback_rows)
 from repro.core.types import CheckpointKind
 
 
@@ -114,3 +118,79 @@ class TestResultMetrics:
             propagate_rollback(simple_history, 7, 1.0)
         with pytest.raises(ValueError):
             propagate_rollback(simple_history, 0, -1.0)
+
+
+def _full_sweep_rollback(history, failed_process, failure_time, dead):
+    """The propagation fixpoint with every sweep over the whole history and
+    a private copy of the dead flags: the plain definition, no windows."""
+    def latest_regular(process, pos):
+        rows = history.checkpoint_rows(process)[0]
+        best = None
+        for row in reversed(rows[:pos]):
+            if best is not None and row[0] < best[0]:
+                break
+            if row[1] is not CheckpointKind.PSEUDO:
+                best = row
+        return best
+
+    horizon = [failure_time] * history.n_processes
+    times = history.checkpoint_rows(failed_process)[1]
+    first = latest_regular(failed_process,
+                           bisect.bisect_right(times, failure_time))
+    restart = {failed_process: first}
+    horizon[failed_process] = first[0]
+    send, recv, src, dst, _ = history.interaction_columns()
+    gone = list(dead)
+    invalidated, iterations, changed = [], 0, True
+    while changed:
+        iterations += 1
+        changed = False
+        for k in range(len(send)):
+            if gone[k] or send[k] > failure_time:
+                continue
+            if not (send[k] > horizon[src[k]] or (
+                    recv[k] > horizon[dst[k]] and recv[k] <= failure_time)):
+                continue
+            gone[k] = True
+            invalidated.append(k)
+            for process, endpoint in ((src[k], send[k]), (dst[k], recv[k])):
+                if horizon[process] >= endpoint:
+                    row = latest_regular(process, bisect.bisect_left(
+                        history.checkpoint_rows(process)[1], endpoint))
+                    restart[process] = row
+                    horizon[process] = row[0]
+                    changed = True
+    return restart, invalidated, iterations
+
+
+class TestSweepWindow:
+    """``rollback_rows`` sweeps only the window past the settled prefix and
+    tracks only what it invalidates itself, never copying the history."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_many_early_dead_interactions(self, seed):
+        rng = random.Random(seed)
+        n = 4
+        history = HistoryDiagram(n)
+        for pid in range(n):
+            for _ in range(12):
+                history.add_recovery_point(pid, rng.uniform(0.0, 60.0))
+        for _ in range(600):
+            source, target = rng.sample(range(n), 2)
+            send = rng.uniform(0.0, 60.0)
+            history.add_interaction(source, target, send, send + 0.01)
+        send = history.interaction_columns()[0]
+        # Everything before t = 40 was invalidated by earlier rollbacks.
+        history.kill_interactions(k for k, t in enumerate(send) if t < 40.0)
+        dead = history.interaction_columns()[4]
+        before = list(dead)
+        swept = 0
+        for failed in range(n):
+            failure_time = rng.uniform(45.0, 60.0)
+            expected = _full_sweep_rollback(history, failed, failure_time,
+                                            dead)
+            assert rollback_rows(history, failed, failure_time,
+                                 dead) == expected
+            assert dead == before               # read, never written
+            swept += len(expected[1])
+        assert swept                            # the sweeps did invalidate

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 
@@ -293,6 +294,34 @@ class TestRequestBounds:
         assert status == b"HTTP/1.1 408 Request Timeout"
         assert "0.3 s" in payload["error"]
 
+    def test_stalled_oversized_body_is_answered_within_the_timeout(
+            self, monkeypatch):
+        # Regression: the 413 path drained the declared body with no
+        # timeout, so a client that declared 9 MB and sent one byte held
+        # its handler (and got no answer) forever.
+        monkeypatch.setattr(server_module, "REQUEST_TIMEOUT_S", 0.5)
+        request = ("POST /v1/evaluate HTTP/1.1\r\n"
+                   "Content-Length: 9000000\r\n\r\nx")
+
+        async def scenario(server):
+            loop = asyncio.get_running_loop()
+            start = loop.time()
+            reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                           server.port)
+            writer.write(request.encode("latin-1"))
+            await writer.drain()
+            response = await asyncio.wait_for(reader.read(), 3.0)
+            elapsed = loop.time() - start
+            writer.close()
+            await writer.wait_closed()
+            return response, elapsed
+
+        response, elapsed = _run_with_server(scenario)
+        status, payload = _status_and_payload(response)
+        assert status == b"HTTP/1.1 413 Payload Too Large"
+        assert "exceeds" in payload["error"]
+        assert 0.5 <= elapsed < 3.0
+
     def test_idle_keep_alive_wait_is_not_timed(self, monkeypatch):
         monkeypatch.setattr(server_module, "REQUEST_TIMEOUT_S", 0.2)
 
@@ -482,4 +511,37 @@ class TestServeProcess:
                 os.killpg(proc.pid, signal.SIGKILL)
                 proc.wait()
             proc.stdout.close()
+        assert "Traceback" not in err_path.read_text()
+
+    def test_ctrl_c_with_an_idle_keep_alive_client_exits_quietly(self,
+                                                                tmp_path):
+        """SIGINT while a client holds an idle keep-alive connection: the
+        cancelled idle wait is an ordinary close, so no traceback."""
+        env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
+        err_path = tmp_path / "stderr.txt"
+        with open(err_path, "w") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--port", "0"],
+                env=env, stdout=subprocess.PIPE, stderr=err, text=True,
+                start_new_session=True, preexec_fn=_default_sigint)
+        idle = None
+        try:
+            line = proc.stdout.readline()
+            port = int(re.search(r"http://[^:]+:(\d+)", line).group(1))
+            idle = socket.create_connection(("127.0.0.1", port), timeout=30)
+            idle.sendall(b"GET /v1/health HTTP/1.1\r\n"
+                         b"Connection: keep-alive\r\n\r\n")
+            response = b""
+            while not response.endswith(b"}"):
+                response += idle.recv(4096)
+            assert response.startswith(b"HTTP/1.1 200 OK")
+            os.killpg(proc.pid, signal.SIGINT)   # the client stays open
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+            proc.stdout.close()
+            if idle is not None:
+                idle.close()
         assert "Traceback" not in err_path.read_text()
