@@ -167,8 +167,7 @@ class RecoverySchemeRuntime(abc.ABC):
         # side heaps.
         self._equeue = self.engine._queue
         self._eseq = self.engine._seq
-        self._iqueue: List[tuple] = []
-        self._rqueue: List[tuple] = []
+        self._iqueue, self._rqueue = [], []
         # Checkpoints go through the tracer only while it keeps the event
         # log (a sweep disables it before the run).
         self._logging = True
@@ -183,8 +182,7 @@ class RecoverySchemeRuntime(abc.ABC):
         return self.engine._now
 
     def all_done(self) -> bool:
-        # Hot path: called once per simulation event; the maintained counter
-        # replaces a scan over the processes.
+        # The maintained counter replaces a scan over the processes.
         return self._n_done >= self.n
 
     # ------------------------------------------------------------------ process state
@@ -527,9 +525,12 @@ class RecoverySchemeRuntime(abc.ABC):
         for pair in self._pairs:
             _heappush(iqueue, (next(pair[2]), next(eseq), pair))
 
-        # The smallest (time, seq) of the three heaps goes next.  The first
-        # pending end of overlapping pauses resumes the process (unless it is
-        # done); any event past the horizon ends the run on its clock.
+        # The smallest (time, seq) of the three heaps goes next; the main
+        # heap is never empty, as each block-boundary chain keeps an entry.
+        # The first pending end of overlapping pauses resumes the process
+        # (unless it is done).  The run ends on the clock of the first event
+        # past the horizon, or once a scheme event (no other kind can) has
+        # finished every process.
         n, until, engine = self.n, self._max_sim_time, self.engine
         done, running, run_start = self._done, self._running, self._run_start
         taint, propagate = self._taint, self._propagate_taint
@@ -539,17 +540,16 @@ class RecoverySchemeRuntime(abc.ABC):
         send, recv, src, dst, dead = self.history.interaction_columns()
         log = self.tracer.record_interaction if self._logging else None
         now = engine._now
-        while self._n_done < n and now < until:
+        while now < until:
             if rqueue:
                 entry = rqueue[0]
-                if (not queue or entry < queue[0]) \
-                        and (not iqueue or entry < iqueue[0]):
+                if entry < queue[0] and (not iqueue or entry < iqueue[0]):
                     now, _seq, pid = _heappop(rqueue)
                     if not done[pid] and not running[pid]:
                         running[pid] = True
                         run_start[pid] = now
                     continue
-            if iqueue and (not queue or iqueue[0] < queue[0]):
+            if iqueue and iqueue[0] < queue[0]:
                 now, _seq, pair = _heappop(iqueue)
                 if now >= until:
                     break
@@ -571,16 +571,14 @@ class RecoverySchemeRuntime(abc.ABC):
                             and taint[target] is None:
                         taint[target] = origin
                 _heappush(iqueue, (now + next(delays), next(eseq), pair))
-            elif queue:
+            else:
                 now, _seq, callback, args = _heappop(queue)
                 engine._now = now
                 callback(*args)
-            else:
-                break
+                if self._n_done >= n:
+                    break
         engine._now = now
-        # The pending entries hold bound methods of this runtime: dropping
-        # them breaks that cycle, so refcounting frees a finished run.
-        queue.clear()
+        queue.clear()  # its bound methods make a cycle refcounting cannot free
         # Final bookkeeping.
         for pid in range(n):
             self._check_completion(pid, now)

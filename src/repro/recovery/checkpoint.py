@@ -103,7 +103,6 @@ class CheckpointStore:
         self._latest: List[Optional[tuple]] = [None] * self.n
         self._peak_count = 0
         self._total_saves = 0
-        self._purged = 0
         # Section 4 bookkeeping: origin -> [(process, PRP row)] (entries may
         # outlive their state; membership is checked by identity), and what
         # changed since the last purge.
@@ -250,10 +249,6 @@ class CheckpointStore:
     def total_saves(self) -> int:
         return self._total_saves
 
-    @property
-    def purged_count(self) -> int:
-        return self._purged
-
     # ------------------------------------------------------------------ purging
     def purge_before(self, process: ProcessId, time: float,
                      *, keep_latest_regular: bool = True) -> int:
@@ -269,7 +264,6 @@ class CheckpointStore:
                   and row is not keeper]
         for idx in doomed:
             del slot[idx]
-        self._purged += len(doomed)
         self._count -= len(doomed)
         cur = self._latest[process]
         if doomed and (cur is None or not self.retains(process, cur)):
@@ -309,7 +303,6 @@ class CheckpointStore:
             if slot.get(row[CP_INDEX]) is row:
                 del slot[row[CP_INDEX]]
                 purged += 1
-        self._purged += purged
         self._count -= purged
         self._dirty.clear()
         self._fresh.clear()

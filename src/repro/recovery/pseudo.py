@@ -55,17 +55,21 @@ class PseudoRecoveryPointRuntime(RecoverySchemeRuntime):
     def on_block_boundary(self, pid: int) -> None:
         if not self._block_passes(pid):
             return
-        self._broadcast_implantation(pid, self.take_checkpoint(pid))
+        # The RP, its PRPs and the purge happen at one instant, so one update
+        # of the saved-states level covers them all.
+        now, cost = self.engine._now, self._checkpoint_cost
+        self._broadcast_implantation(
+            pid, self._save(pid, now, CheckpointKind.REGULAR, None, cost), now)
         if self.purge_storage:
-            if self.store.purge_obsolete_pseudo_lines():
-                self._note_saved_states(self.now)
+            self.store.purge_obsolete_pseudo_lines()
+        self._note_saved_states(now)
 
-    def _broadcast_implantation(self, origin_pid: int, row: tuple) -> None:
+    def _broadcast_implantation(self, origin_pid: int, row: tuple,
+                                now: float) -> None:
         """Steps 1–2 of the implantation algorithm: every other unfinished
         process saves a PRP "upon the completion of the current instruction",
         at once at the granularity of this simulation, so as one batch."""
         origin = (origin_pid, row[CP_INDEX])
-        now = self.engine._now
         cost = self._checkpoint_cost
         done = self._done
         for other in range(self.n):
@@ -74,7 +78,6 @@ class PseudoRecoveryPointRuntime(RecoverySchemeRuntime):
             self._save(other, now, CheckpointKind.PSEUDO, origin, cost)
             self._implantation_overhead += cost
             self._prp_counter._count += 1  # inlined Counter.increment()
-        self._note_saved_states(now)
 
     def on_error_detected(self, pid: int) -> None:
         assignment, visited = self._plan_pseudo_rollback(pid, self.now)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import zlib
 from functools import lru_cache
+from itertools import chain, repeat
 from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,10 +63,10 @@ class _SeedWords(ISeedSequence):
 
 def _buffered(rng: np.random.Generator, sampler) -> Iterator[float]:
     """Endless variates of *rng*, drawn :data:`_BUFFER_SIZE` at a time."""
-    while True:
-        # tolist() converts the float64 block to Python floats exactly (same
-        # bits); the iterator then serves them without numpy scalar boxing.
-        yield from sampler(rng, _BUFFER_SIZE).tolist()
+    # tolist() gives the exact Python floats; chain serves them without a
+    # frame per draw and draws the next block when one runs dry.
+    return chain.from_iterable(sampler(rng, _BUFFER_SIZE).tolist()
+                               for _ in repeat(None))
 
 
 class RandomStreams:

@@ -119,3 +119,46 @@ def test_incremental_purge_matches_the_full_rule(seed):
         assert store.count() == len(shadow)
         assert {(pid, state.index) for pid in range(n)
                 for state in store.states_of(pid)} == set(shadow)
+
+
+#: The callbacks that carry scheme logic: the only main-heap events.
+SCHEME_EVENTS = {"_fire_block_boundary", "_fire_fault", "_fire_common_mode",
+                 "_issue_sync_request", "_record_restart_checkpoint"}
+
+
+@pytest.mark.parametrize("factory", [
+    lambda wl: AsynchronousRuntime(wl, seed=11),
+    lambda wl: PseudoRecoveryPointRuntime(wl, seed=4),
+    lambda wl: SynchronizedRuntime(wl, seed=3, sync_interval=2.0),
+], ids=["asynchronous", "pseudo", "synchronized"])
+def test_only_scheme_logic_reaches_the_main_heap(monkeypatch, small_workload,
+                                                  factory):
+    """Interactions and pause ends are handled inline from their own heaps;
+    the engine's heap carries block boundaries, faults, sync requests and
+    restart checkpoints only."""
+    import repro.recovery.base as base
+
+    popped = {"main": [], "interaction": 0, "resume": 0}
+    real_pop = base._heappop
+
+    def counting_pop(heap):
+        entry = real_pop(heap)
+        if len(entry) == 4:
+            popped["main"].append(entry[2].__name__)
+        elif isinstance(entry[2], tuple):
+            popped["interaction"] += 1
+        else:
+            popped["resume"] += 1
+        return entry
+
+    monkeypatch.setattr(base, "_heappop", counting_pop)
+    runtime = factory(small_workload)
+    runtime.tracer.disable_log()
+    report = runtime.run()
+    assert set(popped["main"]) <= SCHEME_EVENTS
+    assert "_fire_block_boundary" in popped["main"]
+    # Delivered messages are history rows; some timers found a peer paused.
+    delivered = len(runtime.history.interaction_columns()[0])
+    assert popped["interaction"] >= delivered > 0
+    assert popped["resume"] > 0 and report.checkpoint_overhead_total > 0
+    assert runtime.engine.pending_events == 0     # a finished run frees it
