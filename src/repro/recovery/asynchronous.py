@@ -76,7 +76,6 @@ class AsynchronousRuntime(RecoverySchemeRuntime):
 
     def extra_metrics(self) -> Dict[str, float]:
         return {
-            # The time average of the saved states held, up to now.
             "avg_saved_states": (self._saved_area + self._saved_level * (
                 self.now - self._saved_since)) / (self.now or 1e-300),
             "acceptance_tests": float(self._acceptance_counter.value),

@@ -470,8 +470,13 @@ class RecoverySchemeRuntime(abc.ABC):
             self._acceptance_failures._count += 1
         return detected
 
-    def _block_executors(self) -> List[RecoveryBlockExecutor]:
-        """One recovery-block executor per process, on ``alternates.<pid>``."""
+    def _block_executors(self) -> Optional[List[RecoveryBlockExecutor]]:
+        """One recovery-block executor per process, on ``alternates.<pid>``;
+        None for a lone primary that always passes in time (no result moves)."""
+        first, *rest = self.workload.block_spec.alternates
+        if not rest and first.success_probability >= 1.0 \
+                and first.duration_factor <= 1.0:
+            return None
         return [RecoveryBlockExecutor(self.workload.block_spec,
                                       self.streams.stream(f"alternates.{pid}"))
                 for pid in range(self.n)]
@@ -489,6 +494,8 @@ class RecoverySchemeRuntime(abc.ABC):
         if self.run_acceptance_test(pid):
             self.on_error_detected(pid)
             return False
+        if self._executors is None:
+            return True
         nominal = self._nominal[pid]
         outcome = self._executors[pid].execute(nominal, state_contaminated=False)
         if not outcome.passed:
@@ -525,12 +532,10 @@ class RecoverySchemeRuntime(abc.ABC):
         for pair in self._pairs:
             _heappush(iqueue, (next(pair[2]), next(eseq), pair))
 
-        # The smallest (time, seq) of the three heaps goes next; the main
-        # heap is never empty, as each block-boundary chain keeps an entry.
-        # The first pending end of overlapping pauses resumes the process
-        # (unless it is done).  The run ends on the clock of the first event
-        # past the horizon, or once a scheme event (no other kind can) has
-        # finished every process.
+        # The smallest (time, seq) of the three heaps goes next (each block
+        # chain keeps the main heap non-empty).  The first pending end of
+        # overlapping pauses resumes a process that is not done.  The run ends
+        # past the horizon, or once a scheme event has finished every process.
         n, until, engine = self.n, self._max_sim_time, self.engine
         done, running, run_start = self._done, self._running, self._run_start
         taint, propagate = self._taint, self._propagate_taint

@@ -55,8 +55,7 @@ class PseudoRecoveryPointRuntime(RecoverySchemeRuntime):
     def on_block_boundary(self, pid: int) -> None:
         if not self._block_passes(pid):
             return
-        # The RP, its PRPs and the purge happen at one instant, so one update
-        # of the saved-states level covers them all.
+        # One instant, so one update of the saved-states level covers it all.
         now, cost = self.engine._now, self._checkpoint_cost
         self._broadcast_implantation(
             pid, self._save(pid, now, CheckpointKind.REGULAR, None, cost), now)
@@ -71,9 +70,8 @@ class PseudoRecoveryPointRuntime(RecoverySchemeRuntime):
         at once at the granularity of this simulation, so as one batch."""
         origin = (origin_pid, row[CP_INDEX])
         cost = self._checkpoint_cost
-        done = self._done
         for other in range(self.n):
-            if other == origin_pid or done[other]:
+            if other == origin_pid or self._done[other]:
                 continue
             self._save(other, now, CheckpointKind.PSEUDO, origin, cost)
             self._implantation_overhead += cost
