@@ -180,8 +180,8 @@ class EvaluationServer:
         try:
             first = await reader.read(1)      # the idle wait: not timed
         except (ConnectionError, asyncio.CancelledError):
-            # Shutdown cancels a handler idling between requests: that is
-            # an ordinary close, not an error to report.
+            # Shutdown cancels a handler idling between requests: close as
+            # usual (asyncio logs a traceback for a cancelled handler task).
             return None
         if not first:
             return None
