@@ -69,7 +69,7 @@ from repro._lazy import lazy_exports  # noqa: E402
 _EXPORTS = {
     **dict.fromkeys(("Evaluation", "StudyResult", "StudySpec", "SystemSpec",
                      "evaluate"), "repro.api"),
-    **dict.fromkeys(("CheckpointKind", "EventKind", "HistoryDiagram",
+    **dict.fromkeys(("CheckpointKind", "HistoryDiagram",
                      "Interaction", "RecoveryLine", "RecoveryPoint",
                      "SystemParameters", "extract_intervals",
                      "find_recovery_lines", "propagate_rollback"),

@@ -127,13 +127,8 @@ def run_strategy_task(task: StrategyTask) -> List[RunReport]:
     sync_interval = float(system.args["sync_interval"])
     reports = []
     for seed in task.seeds:
-        runtime = make_runtime(system.scheme, workload, seed=seed,
-                               sync_interval=sync_interval)
-        # Sweeps consume only the run report; recording the flat event log
-        # (one buffered tuple per simulation event) would be pure overhead.
-        # The history diagram the rollback machinery needs stays live.
-        runtime.tracer.disable_log()
-        reports.append(runtime.run())
+        reports.append(make_runtime(system.scheme, workload, seed=seed,
+                                    sync_interval=sync_interval).run())
     return reports
 
 

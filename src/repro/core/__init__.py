@@ -23,11 +23,10 @@ from repro._lazy import lazy_exports
 #: Public name -> the submodule that defines it, resolved on first use so
 #: that a cell needing only :class:`SystemParameters` loads no history code.
 _EXPORTS = {
-    **dict.fromkeys(("CheckpointKind", "EventKind", "Interaction",
+    **dict.fromkeys(("CheckpointKind", "Interaction",
                      "ProcessId", "RecoveryLine", "RecoveryPoint"),
                     "repro.core.types"),
     "SystemParameters": "repro.core.parameters",
-    **dict.fromkeys(("Event", "EventLog"), "repro.core.events"),
     "HistoryDiagram": "repro.core.history",
     **dict.fromkeys(("RecoveryLineDetector", "ExactRecoveryLineDetector",
                      "LatestRPRecoveryLineDetector", "is_consistent_line",

@@ -186,16 +186,11 @@ class HistoryDiagram:
         usable; a PRP only when its triggering RP belongs to *failed_process*
         (see :meth:`repro.core.types.RecoveryPoint.is_usable_for`).
         """
-        return self._latest(process,
-                            bisect.bisect_right(self._times[process], time),
-                            True, failed_process)
-
-    def _latest(self, process: ProcessId, pos: int, usable_only: bool,
-                failed_process: Optional[ProcessId]) -> tuple:
         rows = self._rows[process]
-        for idx in range(pos - 1, -1, -1):
+        for idx in range(bisect.bisect_right(self._times[process], time) - 1,
+                         -1, -1):
             row = rows[idx]
-            if usable_only and row[CP_KIND] is _PSEUDO and (
+            if row[CP_KIND] is _PSEUDO and (
                     failed_process is None
                     or row[CP_ORIGIN][0] != failed_process):
                 continue
@@ -216,9 +211,6 @@ class HistoryDiagram:
                            target=self._it_dst[k],
                            receive_time=self._it_recv[k])
 
-    def _interactions(self, lo: int, hi: int) -> List[Interaction]:
-        return [self.interaction(k) for k in range(lo, hi)]
-
     # ------------------------------------------------------------------ inspection
     def _check_process(self, process: ProcessId) -> None:
         if not (0 <= process < self._n):
@@ -234,7 +226,7 @@ class HistoryDiagram:
 
     @property
     def interactions(self) -> List[Interaction]:
-        return self._interactions(0, len(self._it_time))
+        return [self.interaction(k) for k in range(len(self._it_time))]
 
     def checkpoints(self, process: ProcessId,
                     kinds: Optional[Iterable[CheckpointKind]] = None
@@ -250,32 +242,6 @@ class HistoryDiagram:
     def recovery_points(self, process: ProcessId) -> List[RecoveryPoint]:
         """Regular recovery points of *process* (excludes PRPs and the initial state)."""
         return self.checkpoints(process, kinds=(CheckpointKind.REGULAR,))
-
-    def checkpoint_count(self, process: ProcessId,
-                         kind: Optional[CheckpointKind] = None) -> int:
-        rows = self._rows[process]
-        if kind is None:
-            return len(rows)
-        return sum(1 for row in rows if row[CP_KIND] is kind)
-
-    def latest_checkpoint_before(self, process: ProcessId, time: float,
-                                 *, inclusive: bool = True,
-                                 usable_only: bool = False,
-                                 failed_process: Optional[ProcessId] = None
-                                 ) -> RecoveryPoint:
-        """Most recent checkpoint of *process* at or before *time*.
-
-        With ``usable_only=True`` pseudo recovery points are skipped unless they are
-        usable for a failure of *failed_process* (see
-        :meth:`repro.core.types.RecoveryPoint.is_usable_for`).  The initial state at
-        t = 0 guarantees a result always exists.
-        """
-        self._check_process(process)
-        times = self._times[process]
-        pos = (bisect.bisect_right(times, time) if inclusive
-               else bisect.bisect_left(times, time))
-        return self.point(process, self._latest(process, pos, usable_only,
-                                                failed_process))
 
     def interactions_between(self, a: ProcessId, b: ProcessId,
                              start: float, end: float,
@@ -297,17 +263,14 @@ class HistoryDiagram:
         return [self.interaction(k) for k in range(first, last)
                 if (src[k] == a or dst[k] == a) and (src[k] == b or dst[k] == b)]
 
-    def interactions_involving(self, process: ProcessId,
-                               start: float = 0.0,
-                               end: float = float("inf")) -> List[Interaction]:
-        """Interactions touching *process* whose send or receive time lies in (start, end]."""
-        self._check_process(process)
-        return [self.interaction(k)
-                for k in self.involving(process, start, end)]
-
     def involving(self, process: ProcessId, start: float, end: float,
                   *, live_only: bool = False) -> List[int]:
-        """Column positions of :meth:`interactions_involving` (optionally live)."""
+        """Column positions of the interactions touching *process* in the window.
+
+        An interaction counts at the endpoint of *process*: its send time for
+        the sender, its receive time for the receiver, in ``(start, end]``.
+        With *live_only*, interactions a rollback invalidated are skipped.
+        """
         out = []
         # Sorted by send time and receive >= send: anything sent after *end*
         # can never fall in the window, and with sorted receive times neither
@@ -324,36 +287,6 @@ class HistoryDiagram:
             if start < t <= end and not (live_only and dead[k]):
                 out.append(k)
         return out
-
-    def last_event_kind(self, process: ProcessId, time: float) -> str:
-        """Return ``"rp"``, ``"interaction"`` or ``"none"`` for the last event ≤ *time*.
-
-        Pseudo recovery points are *not* counted as recovery points here because the
-        Markov model of Section 2 predates PRPs; only regular RPs flip the process's
-        state bit to 1.
-        """
-        self._check_process(process)
-        last_rp = None
-        for row in reversed(self._rows[process]):
-            if row[CP_KIND] is _REGULAR and row[CP_TIME] <= time:
-                last_rp = row[CP_TIME]
-                break
-        last_int = None
-        for k in range(len(self._it_time) - 1, -1, -1):
-            if self._it_src[k] == process:
-                t = self._it_time[k]
-            elif self._it_dst[k] == process:
-                t = self._it_recv[k]
-            else:
-                continue
-            if t <= time:
-                last_int = t
-                break
-        if last_rp is None and last_int is None:
-            return "none"
-        if last_int is None or (last_rp is not None and last_rp >= last_int):
-            return "rp"
-        return "interaction"
 
     @property
     def end_time(self) -> float:

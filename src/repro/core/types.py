@@ -13,7 +13,6 @@ from typing import Mapping, Optional, Tuple
 __all__ = [
     "ProcessId",
     "CheckpointKind",
-    "EventKind",
     "RecoveryPoint",
     "Interaction",
     "RecoveryLine",
@@ -42,20 +41,6 @@ class CheckpointKind(enum.Enum):
     def verified(self) -> bool:
         """True when the saved state passed an acceptance test (RPs and the start)."""
         return self in (CheckpointKind.REGULAR, CheckpointKind.INITIAL)
-
-
-class EventKind(enum.Enum):
-    """Kinds of events recorded in an execution trace."""
-
-    RECOVERY_POINT = "recovery_point"
-    PSEUDO_RECOVERY_POINT = "pseudo_recovery_point"
-    INTERACTION = "interaction"
-    ACCEPTANCE_TEST = "acceptance_test"
-    ERROR = "error"
-    ROLLBACK = "rollback"
-    SYNC_REQUEST = "sync_request"
-    SYNC_COMMIT = "sync_commit"
-    RECOVERY_LINE = "recovery_line"
 
 
 class RecoveryPoint:

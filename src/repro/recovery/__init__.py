@@ -33,7 +33,7 @@ hit).
 
 from typing import Optional
 
-from repro.recovery.checkpoint import SavedState, CheckpointStore
+from repro.recovery.checkpoint import CheckpointStore
 from repro.recovery.report import RunReport, ProcessReport
 from repro.recovery.base import RecoverySchemeRuntime
 from repro.recovery.asynchronous import AsynchronousRuntime
@@ -41,7 +41,6 @@ from repro.recovery.synchronized import SynchronizedRuntime, SyncStrategy
 from repro.recovery.pseudo import PseudoRecoveryPointRuntime
 
 __all__ = [
-    "SavedState",
     "CheckpointStore",
     "RunReport",
     "ProcessReport",

@@ -62,7 +62,7 @@ class AsynchronousRuntime(RecoverySchemeRuntime):
         history = self.history
         restart, invalidated, _ = rollback_rows(
             history, pid, self.now, history.interaction_columns()[4])
-        self.apply_rollback(pid, restart, invalidated)
+        self.apply_rollback(restart, invalidated)
 
     # ------------------------------------------------------------------ extras
     def _maybe_purge(self) -> None:
@@ -78,7 +78,6 @@ class AsynchronousRuntime(RecoverySchemeRuntime):
         return {
             "avg_saved_states": (self._saved_area + self._saved_level * (
                 self.now - self._saved_since)) / (self.now or 1e-300),
-            "acceptance_tests": float(self._acceptance_counter.value),
-            "errors_injected": float(
-                self.monitor.counter("errors_injected").value),
+            "acceptance_tests": float(self.acceptance_tests),
+            "errors_injected": float(self.errors_injected),
         }

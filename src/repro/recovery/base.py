@@ -1,7 +1,7 @@
 """Common machinery of the recovery-scheme runtimes.
 
 :class:`RecoverySchemeRuntime` owns the simulation engine, the random streams,
-the tracer/history, the checkpoint store, and the three recurring event
+the history, the checkpoint store, and the three recurring event
 families every scheme needs — recovery-block boundaries, pairwise interactions
 and fault arrivals — and leaves the scheme-specific reactions to subclasses via
 two hooks, :meth:`RecoverySchemeRuntime.on_block_boundary` and
@@ -13,10 +13,13 @@ Process state is kept in flat per-process columns (lists indexed by process
 id): useful work done, whether the process is running or paused
 (checkpointing, restarting, waiting for a synchronisation commit), whether it
 is done, the origin of an undetected error contaminating its state (``None``
-when clean), and the overhead accumulators of its report.  A checkpoint is one
-history row (see :mod:`repro.core.history`) that the store also indexes, and a
-rollback (:meth:`RecoverySchemeRuntime.apply_rollback`) restores the rows a
-plan chose.
+when clean), and the overhead accumulators of its report.  The history is
+the run's only record: a checkpoint is one history row (see
+:mod:`repro.core.history`) that the store also indexes, a delivered message is
+one row of its interaction columns, and a rollback
+(:meth:`RecoverySchemeRuntime.apply_rollback`) restores the rows a plan chose.
+The counters a scheme reports in :meth:`RecoverySchemeRuntime.extra_metrics`
+are plain ints on the runtime.
 """
 
 from __future__ import annotations
@@ -28,16 +31,14 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 from repro.core.history import (CP_CONTAMINATED, CP_ERROR_ORIGIN, CP_KIND,
-                                CP_TIME, CP_WORK)
+                                CP_TIME, CP_WORK, HistoryDiagram)
 from repro.core.types import CheckpointKind, ProcessId
 from repro.faults.propagation import expand_cascade
 from repro.processes.program import RecoveryBlockExecutor
 from repro.recovery.checkpoint import CheckpointStore
 from repro.recovery.report import ProcessReport, RunReport
 from repro.sim.engine import SimulationEngine
-from repro.sim.monitor import Monitor
 from repro.sim.random_streams import RandomStreams
-from repro.sim.tracer import Tracer
 from repro.workloads.spec import WorkloadSpec
 
 __all__ = ["RecoverySchemeRuntime"]
@@ -60,9 +61,7 @@ class RecoverySchemeRuntime(abc.ABC):
         self.n = n = workload.params.n
         self.engine = SimulationEngine()
         self.streams = RandomStreams(seed)
-        self.tracer = Tracer(n)
-        self.history = self.tracer.history
-        self.monitor = Monitor()
+        self.history = HistoryDiagram(n)
         self.store = CheckpointStore(n)
         # Per-process columns.
         self._goal = float(workload.work_per_process)
@@ -82,6 +81,8 @@ class RecoverySchemeRuntime(abc.ABC):
         self.rollback_distances: List[float] = []
         self.domino_count = 0
         self.recovery_lines_committed = 0
+        self.acceptance_tests = 0
+        self.errors_injected = 0
         self._started = False
         # Number of processes currently marked done.  Maintained where the
         # flag flips (completion checks, rollback revival) so the per-event
@@ -96,8 +97,6 @@ class RecoverySchemeRuntime(abc.ABC):
         self._checkpoint_cost = workload.checkpoint_cost
         self._propagate_taint = workload.faults.propagate_via_messages
         self._fault_rate = float(workload.faults.error_rate)
-        self._acceptance_counter = self.monitor.counter("acceptance_tests")
-        self._acceptance_failures = self.monitor.counter("acceptance_failures")
         # Every timer and coin reads its own named stream through a buffered
         # variate iterator (``next()`` per draw).  Streams are derived from
         # their name alone (never from creation order), so creating them up
@@ -168,10 +167,6 @@ class RecoverySchemeRuntime(abc.ABC):
         self._equeue = self.engine._queue
         self._eseq = self.engine._seq
         self._iqueue, self._rqueue = [], []
-        # Checkpoints go through the tracer only while it keeps the event
-        # log (a sweep disables it before the run).
-        self._logging = True
-        self._append_checkpoint = self.tracer.record_checkpoint
 
     # ------------------------------------------------------------------ helpers
     @property
@@ -252,8 +247,7 @@ class RecoverySchemeRuntime(abc.ABC):
             return
         if not self._done[pid] and self._running[pid]:
             self._contaminate(pid, pid)
-            self.tracer.record_error(pid, now, local=True, origin=pid)
-            self.monitor.counter("errors_injected").increment()
+            self.errors_injected += 1
         # Always reschedule (even for finished processes) so a process revived by
         # a rollback keeps experiencing faults.
         _heappush(self._equeue, (now + next(self._fault_draws[pid]),
@@ -284,15 +278,13 @@ class RecoverySchemeRuntime(abc.ABC):
                     lambda p: next(coin) < p)
             else:
                 struck = seeds
-            errors = self.monitor.counter("errors_injected")
             for pid in struck:
                 # Cascaded victims may be paused or already done; like the
                 # independent fault path, only a running process's state can
                 # actually absorb the error.
                 if not done[pid] and running[pid]:
                     self._contaminate(pid, pid)
-                    self.tracer.record_error(pid, now, local=True, origin=pid)
-                    errors._count += 1  # inlined Counter.increment()
+                    self.errors_injected += 1
         _heappush(self._equeue, (now + next(self._common_mode_draws[g]),
                                  next(self._eseq), self._fire_common_mode, (g,)))
 
@@ -351,8 +343,9 @@ class RecoverySchemeRuntime(abc.ABC):
         else:  # pragma: no cover - defensive
             raise ValueError("cannot take an INITIAL checkpoint explicitly")
         taint = self._taint[pid]
-        row = self._append_checkpoint(pid, now, kind, origin, work[pid],
-                                      taint is not None, taint)
+        row = self.history.append_checkpoint(pid, now, kind, origin,
+                                             work[pid], taint is not None,
+                                             taint)
         self.store.add(pid, row)
         if cost > 0.0:  # inlined _pause(): the work was accrued above
             running[pid] = False
@@ -367,7 +360,7 @@ class RecoverySchemeRuntime(abc.ABC):
         self._saved_level = self.store._count
 
     # ------------------------------------------------------------------ rollback
-    def apply_rollback(self, failed_pid: int, restart: Dict[ProcessId, tuple],
+    def apply_rollback(self, restart: Dict[ProcessId, tuple],
                        invalidated: Iterable[int] = (),
                        *, record_restart_checkpoints: bool = True) -> None:
         """Restore every process in *restart* to its checkpoint row.
@@ -383,7 +376,6 @@ class RecoverySchemeRuntime(abc.ABC):
         now = self.engine._now
         store = self.store
         max_distance = 0.0
-        lost_total = 0.0
         domino = False
 
         for pid, row in sorted(restart.items()):
@@ -396,7 +388,6 @@ class RecoverySchemeRuntime(abc.ABC):
             lost = max(0.0, self._work[pid] - row[CP_WORK])
             self._work[pid] = row[CP_WORK]
             self._lost[pid] += lost
-            lost_total += lost
             self._rollbacks[pid] += 1
             # The restored state dictates the contamination status.
             if row[CP_CONTAMINATED]:
@@ -412,9 +403,6 @@ class RecoverySchemeRuntime(abc.ABC):
             distance = now - restart[pid][CP_TIME]
             max_distance = max(max_distance, distance)
             domino = domino or restart[pid][CP_KIND] is _INITIAL
-            self.tracer.record_rollback(pid, now, restart[pid][CP_TIME],
-                                        cause=failed_pid)
-            self.monitor.tally("rollback_distance_per_process").observe(distance)
             # Charge the restart and resume.
             self._pause(pid, self.workload.restart_cost, self._restart_overhead)
 
@@ -422,10 +410,6 @@ class RecoverySchemeRuntime(abc.ABC):
         self.rollback_distances.append(max_distance)
         if domino:
             self.domino_count += 1
-        self.monitor.counter("rollback_events").increment()
-        self.monitor.tally("rollback_distance").observe(max_distance)
-        self.monitor.tally("rollback_lost_work").observe(lost_total)
-        self.monitor.tally("rollback_span").observe(float(len(restart)))
 
         if record_restart_checkpoints:
             delay = self.workload.restart_cost
@@ -462,12 +446,7 @@ class RecoverySchemeRuntime(abc.ABC):
             has_external_error=taint is not None and taint != pid, rng=rng)
         if not detected and taint is None:
             detected = acceptance.false_alarm(rng)
-        if self._logging:
-            self.tracer.record_acceptance_test(pid, self.engine._now,
-                                               passed=not detected)
-        self._acceptance_counter._count += 1  # inlined Counter.increment()
-        if detected:
-            self._acceptance_failures._count += 1
+        self.acceptance_tests += 1
         return detected
 
     def _block_executors(self) -> Optional[List[RecoveryBlockExecutor]]:
@@ -500,7 +479,6 @@ class RecoverySchemeRuntime(abc.ABC):
         outcome = self._executors[pid].execute(nominal, state_contaminated=False)
         if not outcome.passed:
             # All alternates failed: treat as a detected local error.
-            self.monitor.counter("alternates_exhausted").increment()
             self.on_error_detected(pid)
             return False
         extra = max(0.0, outcome.elapsed - nominal)
@@ -514,9 +492,6 @@ class RecoverySchemeRuntime(abc.ABC):
         if self._started:
             raise RuntimeError("a runtime instance can only be run once")
         self._started = True
-        if self.tracer._log_disabled:
-            self._logging = False
-            self._append_checkpoint = self.history.append_checkpoint
         for pid in range(self.n):
             self.start_running(pid, 0.0)
         self.on_run_start()
@@ -543,7 +518,6 @@ class RecoverySchemeRuntime(abc.ABC):
         # The live run appends interactions in time order, so the history's
         # columns stay sorted (the in-order case of append_interaction).
         send, recv, src, dst, dead = self.history.interaction_columns()
-        log = self.tracer.record_interaction if self._logging else None
         now = engine._now
         while now < until:
             if rqueue:
@@ -563,15 +537,11 @@ class RecoverySchemeRuntime(abc.ABC):
                     # The direction matters to the taint model only.
                     source, target = (i, j) if next(coin) < 0.5 else (j, i)
                     origin = taint[source]
-                    if log is None:
-                        send.append(now)
-                        recv.append(now + latency)
-                        src.append(source)
-                        dst.append(target)
-                        dead.append(False)
-                    else:
-                        log(source, target, now, now + latency,
-                            tainted=origin is not None)
+                    send.append(now)
+                    recv.append(now + latency)
+                    src.append(source)
+                    dst.append(target)
+                    dead.append(False)
                     if propagate and origin is not None \
                             and taint[target] is None:
                         taint[target] = origin

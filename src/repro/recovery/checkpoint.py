@@ -1,8 +1,9 @@
-"""Checkpoint storage: saved states, lookup, purging and space accounting.
+"""Checkpoint storage: which saved states a run retains, purging and accounting.
 
 A :class:`CheckpointStore` retains the saved state of checkpoints recorded in the
 history (regular recovery points, pseudo recovery points, and the implicit
-initial states).  The store also implements the space-reclamation rule of
+initial states); a saved state is the history row itself, so the store holds
+no copy of it.  The store also implements the space-reclamation rule of
 Section 4: under the PRP scheme, once a new recovery point is established, all old
 RPs and PRPs other than those participating in the current pseudo recovery lines
 can be purged.
@@ -10,68 +11,16 @@ can be purged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.history import (CP_CONTAMINATED, CP_ERROR_ORIGIN, CP_INDEX,
-                                CP_KIND, CP_ORIGIN, CP_TIME, CP_WORK)
-from repro.core.types import CheckpointKind, ProcessId, RecoveryPoint
+from repro.core.history import CP_INDEX, CP_KIND, CP_ORIGIN, CP_TIME
+from repro.core.types import CheckpointKind, ProcessId
 
-__all__ = ["SavedState", "CheckpointStore"]
+__all__ = ["CheckpointStore"]
 
 _REGULAR = CheckpointKind.REGULAR
 _PSEUDO = CheckpointKind.PSEUDO
 _INITIAL = CheckpointKind.INITIAL
-
-
-@dataclass(frozen=True)
-class SavedState:
-    """The payload saved at a checkpoint, as the store's readers see it.
-
-    The store keeps checkpoint rows; a :class:`SavedState` is built from one
-    on each read, so two reads of one state are equal but not identical.
-    Equality compares every field.
-
-    Attributes
-    ----------
-    process, index:
-        Identity of the checkpoint (matches the corresponding
-        :class:`~repro.core.types.RecoveryPoint` in the history).
-    time:
-        Simulation time of the save.
-    kind:
-        Regular RP, pseudo RP or initial state.
-    work_done:
-        Useful work the process had completed when the state was saved (restoring
-        the state resets the work counter to this value).
-    contaminated:
-        Whether an undetected error was present in the process state when it was
-        saved.  Regular RPs are clean with a perfect acceptance test; PRPs can be
-        contaminated, which is exactly why a pseudo recovery line may need to be
-        abandoned (Section 4).
-    error_origin:
-        Originating process of the contamination (meaningful when contaminated).
-    size:
-        Abstract size of the saved state (bytes or words); used only for storage
-        accounting.
-    origin:
-        For PRPs, the ``(process, index)`` of the triggering RP.
-    """
-
-    process: ProcessId
-    index: int
-    time: float
-    kind: CheckpointKind
-    work_done: float
-    contaminated: bool = False
-    error_origin: Optional[ProcessId] = None
-    size: float = 1.0
-    origin: Optional[Tuple[ProcessId, int]] = None
-
-    def matches(self, rp: RecoveryPoint) -> bool:
-        """Whether this saved state corresponds to history checkpoint *rp*."""
-        return (self.process == rp.process and self.index == rp.index
-                and self.kind is rp.kind)
 
 
 class CheckpointStore:
@@ -80,7 +29,6 @@ class CheckpointStore:
     The store indexes checkpoint *rows* — the tuples a
     :class:`~repro.core.history.HistoryDiagram` keeps (``CP_*`` positions) —
     so a runtime's history and store share one record per checkpoint.
-    :class:`SavedState` values are built only for the public readers.
 
     The Section 4 purge is incremental.  Between two purges the store notes
     which processes took a regular checkpoint, which PRPs arrived, and which
@@ -89,13 +37,10 @@ class CheckpointStore:
     of every retained state.
     """
 
-    def __init__(self, n_processes: int, *, state_size: float = 1.0) -> None:
+    def __init__(self, n_processes: int) -> None:
         if n_processes < 1:
             raise ValueError("need at least one process")
-        if state_size <= 0.0:
-            raise ValueError("state_size must be positive")
         self.n = int(n_processes)
-        self.state_size = float(state_size)
         self._states: List[Dict[int, tuple]] = [dict() for _ in range(self.n)]
         self._count = 0          # running total across processes, O(1) to read
         # Most recent non-pseudo row per process (first-inserted among equal
@@ -154,48 +99,10 @@ class CheckpointStore:
                 best = row
         self._set_latest(process, best)
 
-    def save(self, rp: RecoveryPoint, *, work_done: float,
-             contaminated: bool = False, error_origin: Optional[ProcessId] = None
-             ) -> SavedState:
-        """Record the saved state for history checkpoint *rp*."""
-        row = (rp.time, rp.kind, rp.index, rp.origin, float(work_done),
-               bool(contaminated), error_origin)
-        self.add(rp.process, row)
-        return self._view(rp.process, row)
-
     # ------------------------------------------------------------------ lookup
-    def _view(self, process: ProcessId, row: tuple) -> SavedState:
-        return SavedState(process=process, index=row[CP_INDEX],
-                          time=row[CP_TIME], kind=row[CP_KIND],
-                          work_done=row[CP_WORK],
-                          contaminated=row[CP_CONTAMINATED],
-                          error_origin=row[CP_ERROR_ORIGIN],
-                          size=self.state_size, origin=row[CP_ORIGIN])
-
     def retains(self, process: ProcessId, row: tuple) -> bool:
         """Whether checkpoint *row* of *process* is still stored."""
         return self._states[process].get(row[CP_INDEX]) is row
-
-    def lookup(self, rp: RecoveryPoint) -> SavedState:
-        """Saved state for history checkpoint *rp* (raises KeyError if purged)."""
-        try:
-            row = self._states[rp.process][rp.index]
-        except KeyError as exc:
-            raise KeyError(f"no saved state for {rp.label} "
-                           f"(purged or never recorded)") from exc
-        if row[CP_KIND] is not rp.kind:
-            raise KeyError(f"stored state for index {rp.index} of P{rp.process + 1} "
-                           f"does not match {rp.label}")
-        return self._view(rp.process, row)
-
-    def get(self, process: ProcessId, index: int) -> Optional[SavedState]:
-        row = self._states[process].get(index)
-        return None if row is None else self._view(process, row)
-
-    def states_of(self, process: ProcessId) -> List[SavedState]:
-        """All retained states of *process*, oldest first."""
-        slot = self._states[process]
-        return [self._view(process, slot[i]) for i in sorted(slot)]
 
     def latest_regular_row(self, process: ProcessId,
                            before: float = float("inf")) -> tuple:
@@ -212,33 +119,17 @@ class CheckpointStore:
         assert best is not None, "initial state can never be purged"
         return best
 
-    def latest_regular(self, process: ProcessId,
-                       before: float = float("inf")) -> SavedState:
-        """Most recent regular RP (or the initial state) of *process* before *before*."""
-        return self._view(process, self.latest_regular_row(process, before))
-
-    def pseudo_for_origin(self, process: ProcessId,
-                          origin: Tuple[ProcessId, int]) -> Optional[SavedState]:
-        """The PRP implanted in *process* for the given triggering RP, if retained."""
-        for owner, row in self._prps.get(tuple(origin), ()):
-            if owner == process and self.retains(owner, row):
-                return self._view(owner, row)
-        return None
-
     # ------------------------------------------------------------------ accounting
     def count(self, process: Optional[ProcessId] = None) -> int:
         """Number of retained saved states (per process or total).
 
         The total is a maintained counter — every checkpoint updates the
-        storage-level monitor, so this must not re-scan the per-process dicts.
+        runtime's saved-states level, so this must not re-scan the
+        per-process dicts.
         """
         if process is not None:
             return len(self._states[process])
         return self._count
-
-    def total_size(self) -> float:
-        """Total retained storage (sum of state sizes)."""
-        return sum(self.state_size for slot in self._states for _ in slot)
 
     @property
     def peak_count(self) -> int:

@@ -28,7 +28,7 @@ state save.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.core.history import CP_INDEX, CP_TIME
 from repro.core.types import CheckpointKind, ProcessId
@@ -49,7 +49,7 @@ class PseudoRecoveryPointRuntime(RecoverySchemeRuntime):
         self.purge_storage = bool(purge_storage)
         self._executors = self._block_executors()
         self._implantation_overhead = 0.0
-        self._prp_counter = self.monitor.counter("prp_implanted")
+        self.prp_implanted = 0
 
     # ------------------------------------------------------------------ hooks
     def on_block_boundary(self, pid: int) -> None:
@@ -75,20 +75,19 @@ class PseudoRecoveryPointRuntime(RecoverySchemeRuntime):
                 continue
             self._save(other, now, CheckpointKind.PSEUDO, origin, cost)
             self._implantation_overhead += cost
-            self._prp_counter._count += 1  # inlined Counter.increment()
+            self.prp_implanted += 1
 
     def on_error_detected(self, pid: int) -> None:
-        assignment, visited = self._plan_pseudo_rollback(pid, self.now)
+        assignment = self._plan_pseudo_rollback(pid, self.now)
         # Everything the affected processes did after their restart points is
         # discarded; invalidated interactions are those touching a rolled-back
         # window.
-        self.apply_rollback(pid, assignment,
+        self.apply_rollback(assignment,
                             self._invalidated_interactions(assignment))
-        self.monitor.tally("prp_rollback_scope").observe(float(len(visited)))
 
     # ------------------------------------------------------------------ planning
     def _plan_pseudo_rollback(self, failed_pid: int, failure_time: float
-                              ) -> Tuple[Dict[ProcessId, tuple], Set[int]]:
+                              ) -> Dict[ProcessId, tuple]:
         """The Section 4 rollback algorithm over the recorded history."""
         history = self.history
         assignment: Dict[ProcessId, tuple] = {}
@@ -122,7 +121,7 @@ class PseudoRecoveryPointRuntime(RecoverySchemeRuntime):
                 if assignment[j][CP_TIME] > latest_rp_j[CP_TIME] \
                         and j not in visited:
                     pending.append(j)
-        return assignment, visited
+        return assignment
 
     def _affected_by(self, p: int, restart_time: float,
                      failure_time: float) -> Set[int]:
@@ -170,6 +169,6 @@ class PseudoRecoveryPointRuntime(RecoverySchemeRuntime):
     # ------------------------------------------------------------------ reporting
     def extra_metrics(self) -> Dict[str, float]:
         return {
-            "prp_implanted": float(self._prp_counter.value),
+            "prp_implanted": float(self.prp_implanted),
             "implantation_overhead": self._implantation_overhead,
         }

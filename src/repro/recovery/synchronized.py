@@ -67,6 +67,8 @@ class SynchronizedRuntime(RecoverySchemeRuntime):
         self._last_line_time = 0.0
         self._saves_since_line = 0
         self._sync_losses: list = []
+        self.sync_requests = 0
+        self.line_rollbacks = 0
 
     # ------------------------------------------------------------------ lifecycle
     def on_run_start(self) -> None:
@@ -88,9 +90,8 @@ class SynchronizedRuntime(RecoverySchemeRuntime):
         self._sync_active = True
         self._request_time = self.now
         self._ready = {}
-        self.monitor.counter("sync_requests").increment()
+        self.sync_requests += 1
         for pid in range(self.n):
-            self.tracer.record_sync_request(pid, self.now)
             if self._done[pid]:
                 self._ready[pid] = 0.0
         if len(self._ready) == self.n:
@@ -104,7 +105,6 @@ class SynchronizedRuntime(RecoverySchemeRuntime):
             # The process reached its acceptance test: it is ready and must wait
             # for the commitments of the others (step 3 of the paper's protocol).
             self._ready[pid] = self.now - self._request_time
-            self.tracer.record_sync_commit(pid, self.now)
             self.stop_running(pid, self.now)
             if len(self._ready) == self.n:
                 self._commit_line()
@@ -124,7 +124,6 @@ class SynchronizedRuntime(RecoverySchemeRuntime):
         """A process finishing during an active sync counts as ready immediately."""
         if self._sync_active and pid not in self._ready:
             self._ready[pid] = self.now - self._request_time
-            self.tracer.record_sync_commit(pid, self.now)
             if len(self._ready) == self.n:
                 self._commit_line()
 
@@ -133,9 +132,9 @@ class SynchronizedRuntime(RecoverySchemeRuntime):
         send, _recv, _src, _dst, dead = self.history.interaction_columns()
         invalidated = [k for k in range(bisect.bisect_right(
             send, self._last_line_time), len(send)) if not dead[k]]
-        self.apply_rollback(pid, dict(self._last_line), invalidated,
+        self.apply_rollback(dict(self._last_line), invalidated,
                             record_restart_checkpoints=False)
-        self.monitor.counter("line_rollbacks").increment()
+        self.line_rollbacks += 1
 
     # ------------------------------------------------------------------ commit
     def _commit_line(self) -> None:
@@ -148,7 +147,6 @@ class SynchronizedRuntime(RecoverySchemeRuntime):
                 self._waiting[pid] += wait
                 total_wait += wait
         self._sync_losses.append(total_wait)
-        self.monitor.tally("sync_loss_per_line").observe(total_wait)
 
         failures = []
         for pid in range(self.n):
@@ -174,7 +172,6 @@ class SynchronizedRuntime(RecoverySchemeRuntime):
             self._last_line_time = self.now
             self._saves_since_line = 0
             self.recovery_lines_committed += 1
-            self.tracer.record_recovery_line(self.now, tuple(range(self.n)))
             # Old states are no longer needed: rollback never crosses the line.
             for pid in range(self.n):
                 self.store.purge_before(pid, self.now)
@@ -197,7 +194,7 @@ class SynchronizedRuntime(RecoverySchemeRuntime):
 
     def extra_metrics(self) -> Dict[str, float]:
         return {
-            "sync_requests": float(self.monitor.counter("sync_requests").value),
+            "sync_requests": float(self.sync_requests),
             "mean_sync_loss": self.mean_sync_loss(),
-            "line_rollbacks": float(self.monitor.counter("line_rollbacks").value),
+            "line_rollbacks": float(self.line_rollbacks),
         }

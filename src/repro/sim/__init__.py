@@ -2,9 +2,11 @@
 
 The paper's authors evaluated their models with an in-house simulation whose code
 is not available; this package provides the replacement substrate: a deterministic,
-seedable discrete-event kernel of scheduled callbacks, named random streams and
-measurement utilities.  The recovery-block runtimes of :mod:`repro.recovery` are
-ordinary users of this kernel.
+seedable discrete-event kernel of scheduled callbacks and named random streams.
+The recovery-block runtimes of :mod:`repro.recovery` are ordinary users of this
+kernel; what a run records is its
+:class:`~repro.core.history.HistoryDiagram`, and what it reports is its
+:class:`~repro.recovery.report.RunReport`.
 
 Design notes
 ------------
@@ -17,15 +19,8 @@ Design notes
 
 from repro.sim.engine import SimulationEngine
 from repro.sim.random_streams import RandomStreams
-from repro.sim.monitor import Counter, TimeWeightedStat, Tally, Monitor
-from repro.sim.tracer import Tracer
 
 __all__ = [
     "SimulationEngine",
     "RandomStreams",
-    "Counter",
-    "TimeWeightedStat",
-    "Tally",
-    "Monitor",
-    "Tracer",
 ]

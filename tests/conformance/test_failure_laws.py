@@ -135,9 +135,8 @@ class TestFastFaultModelConformance:
                                fault_model={"groups": [list(group)],
                                             "common_mode_rate": rate})
         wl = dataclasses.replace(wl, max_sim_time=horizon)
-        rt = AsynchronousRuntime(wl, seed=17)
-        rt.run()
-        strikes = rt.monitor.counter("errors_injected")._count / len(group)
+        report = AsynchronousRuntime(wl, seed=17).run()
+        strikes = report.extra["errors_injected"] / len(group)
         expected = rate * horizon
         z = abs(strikes - expected) / np.sqrt(expected)
         assert z < Z_BOUND, f"observed {strikes} strikes vs {expected}: z={z:.2f}"
@@ -154,9 +153,8 @@ class TestFastFaultModelConformance:
                                  "common_mode_rate": 0.4,
                                  "propagation_probability": p,
                                  "cascade_depth": 3})
-                rt = AsynchronousRuntime(wl, seed=seed)
-                rt.run()
-                totals.append(rt.monitor.counter("errors_injected")._count)
+                report = AsynchronousRuntime(wl, seed=seed).run()
+                totals.append(report.extra["errors_injected"])
             return float(np.mean(totals))
 
         assert mean_errors(1.0) > mean_errors(0.0)
@@ -179,9 +177,8 @@ class TestFastFaultModelConformance:
             for seed in range(10):
                 wl = strategy_workload(n=3, mu=1.0, lam=0.5, work=20.0,
                                        error_rate=0.08, **law)
-                rt = AsynchronousRuntime(wl, seed=seed)
-                rt.run()
-                totals.append(rt.monitor.counter("errors_injected")._count)
+                report = AsynchronousRuntime(wl, seed=seed).run()
+                totals.append(report.extra["errors_injected"])
             return np.asarray(totals, dtype=float)
 
         expo = mean_errors()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.history import HistoryDiagram
+from repro.core.history import CP_KIND, CP_TIME, HistoryDiagram
 from repro.core.types import CheckpointKind
 
 
@@ -45,30 +45,26 @@ class TestCheckpoints:
         history = HistoryDiagram(2)
         history.add_recovery_point(0, 1.0)
         history.add_recovery_point(0, 2.0, kind=CheckpointKind.PSEUDO, origin=(1, 1))
-        assert history.checkpoint_count(0, CheckpointKind.REGULAR) == 1
-        assert history.checkpoint_count(0, CheckpointKind.PSEUDO) == 1
+        assert len(history.checkpoints(0, kinds=(CheckpointKind.REGULAR,))) == 1
+        assert len(history.checkpoints(0, kinds=(CheckpointKind.PSEUDO,))) == 1
         assert len(history.recovery_points(0)) == 1
 
-    def test_latest_checkpoint_before(self):
+    def test_latest_row(self):
         history = HistoryDiagram(1)
         history.add_recovery_point(0, 1.0)
         history.add_recovery_point(0, 3.0)
-        assert history.latest_checkpoint_before(0, 2.5).time == 1.0
-        assert history.latest_checkpoint_before(0, 3.0).time == 3.0
-        assert history.latest_checkpoint_before(0, 3.0, inclusive=False).time == 1.0
-        assert history.latest_checkpoint_before(0, 0.5).kind is CheckpointKind.INITIAL
+        assert history.latest_row(0, 2.5)[CP_TIME] == 1.0
+        assert history.latest_row(0, 3.0)[CP_TIME] == 3.0
+        assert history.latest_row(0, 0.5)[CP_KIND] is CheckpointKind.INITIAL
 
-    def test_latest_checkpoint_usable_only_skips_foreign_pseudo(self):
+    def test_latest_row_skips_foreign_pseudo(self):
         history = HistoryDiagram(2)
         history.add_recovery_point(0, 1.0)
         history.add_recovery_point(0, 2.0, kind=CheckpointKind.PSEUDO, origin=(1, 1))
-        usable = history.latest_checkpoint_before(0, 3.0, usable_only=True,
-                                                  failed_process=0)
-        assert usable.time == 1.0
+        assert history.latest_row(0, 3.0)[CP_TIME] == 1.0
+        assert history.latest_row(0, 3.0, failed_process=0)[CP_TIME] == 1.0
         # When the failure is in the PRP's triggering process, the PRP is usable.
-        usable_for_1 = history.latest_checkpoint_before(0, 3.0, usable_only=True,
-                                                        failed_process=1)
-        assert usable_for_1.time == 2.0
+        assert history.latest_row(0, 3.0, failed_process=1)[CP_TIME] == 2.0
 
 
 class TestInteractions:
@@ -82,18 +78,15 @@ class TestInteractions:
         backward = simple_history.interactions_between(0, 1, 3.0, 1.0)
         assert forward == backward
 
-    def test_interactions_involving_uses_endpoint_of_that_process(self):
+    def test_involving_uses_endpoint_of_that_process(self):
         history = HistoryDiagram(2)
         history.add_interaction(0, 1, 1.0, receive_time=2.0)
-        assert len(history.interactions_involving(0, 0.0, 1.5)) == 1   # send at 1.0
-        assert len(history.interactions_involving(1, 0.0, 1.5)) == 0   # receive at 2.0
-        assert len(history.interactions_involving(1, 1.5, 2.5)) == 1
-
-    def test_last_event_kind(self, simple_history):
-        assert simple_history.last_event_kind(0, 1.5) == "rp"
-        assert simple_history.last_event_kind(0, 2.5) == "interaction"
-        assert simple_history.last_event_kind(0, 3.2) == "rp"
-        assert HistoryDiagram(1).last_event_kind(0, 1.0) == "none"
+        assert history.involving(0, 0.0, 1.5) == [0]   # send at 1.0
+        assert history.involving(1, 0.0, 1.5) == []    # receive at 2.0
+        assert history.involving(1, 1.5, 2.5) == [0]
+        history.kill_interactions([0])
+        assert history.involving(1, 1.5, 2.5) == [0]
+        assert history.involving(1, 1.5, 2.5, live_only=True) == []
 
 
 class TestMisc:

@@ -57,7 +57,7 @@ class TestAnalyticRuntimeAgreement:
                                         error_rate=0.0, checkpoint_cost=0.0)
         runtime = AsynchronousRuntime(workload, seed=23)
         runtime.run()
-        observations = extract_intervals(runtime.tracer.history)
+        observations = extract_intervals(runtime.history)
         measured = np.mean([obs.length for obs in observations])
         analytic = RecoveryLineIntervalModel(workload.params).mean_interval()
         assert measured == pytest.approx(analytic, rel=0.2)

@@ -58,7 +58,7 @@ class TestModelSimulator:
     def test_generate_history_respects_duration(self, params_case1):
         history = ModelSimulator(params_case1, seed=8).generate_history(25.0)
         assert history.end_time <= 25.0
-        assert history.checkpoint_count(0) > 1
+        assert len(history.checkpoints(0)) > 1
 
     def test_history_intervals_match_analytic_mean(self, params_case1):
         history = ModelSimulator(params_case1, seed=9).generate_history(800.0)

@@ -2,14 +2,19 @@
 
 import pytest
 
-from repro.core.types import CheckpointKind, RecoveryPoint
-from repro.recovery.checkpoint import CheckpointStore, SavedState
+from repro.core.types import CheckpointKind
+from repro.recovery.checkpoint import CheckpointStore
 from repro.recovery.report import ProcessReport, RunReport
 
+REGULAR, PSEUDO, INITIAL = (CheckpointKind.REGULAR, CheckpointKind.PSEUDO,
+                            CheckpointKind.INITIAL)
 
-def _rp(process, index, time, kind=CheckpointKind.REGULAR, origin=None):
-    return RecoveryPoint(time=time, process=process, index=index, kind=kind,
-                         origin=origin)
+
+def _add(store, process, index, time, kind=REGULAR, origin=None):
+    """Give *store* a checkpoint row (a history row) and return it."""
+    row = (time, kind, index, origin, time, False, None)
+    store.add(process, row)
+    return row
 
 
 class TestCheckpointStore:
@@ -17,86 +22,62 @@ class TestCheckpointStore:
         store = CheckpointStore(3)
         assert store.count() == 3
         for pid in range(3):
-            assert store.latest_regular(pid).kind is CheckpointKind.INITIAL
+            assert store.latest_regular_row(pid)[1] is INITIAL
 
-    def test_save_and_lookup(self):
+    def test_add_and_retains(self):
         store = CheckpointStore(2)
-        rp = _rp(0, 1, 2.0)
-        saved = store.save(rp, work_done=1.5, contaminated=False)
-        assert store.lookup(rp) == saved
-        assert saved.work_done == 1.5
-
-    def test_lookup_missing_raises(self):
-        store = CheckpointStore(1)
-        with pytest.raises(KeyError):
-            store.lookup(_rp(0, 5, 1.0))
+        row = _add(store, 0, 1, 2.0)
+        assert store.retains(0, row)
+        # Retention is by identity: an equal row the store was not given
+        # is not retained, nor is a row of another process.
+        assert not store.retains(0, tuple(list(row)))
+        assert not store.retains(1, row)
 
     def test_latest_regular_ignores_pseudo(self):
         store = CheckpointStore(2)
-        store.save(_rp(0, 1, 1.0), work_done=1.0)
-        store.save(_rp(0, 2, 2.0, kind=CheckpointKind.PSEUDO, origin=(1, 1)),
-                   work_done=2.0)
-        assert store.latest_regular(0).index == 1
-        assert store.latest_regular(0, before=0.5).kind is CheckpointKind.INITIAL
-
-    def test_pseudo_for_origin(self):
-        store = CheckpointStore(2)
-        store.save(_rp(1, 1, 1.0, kind=CheckpointKind.PSEUDO, origin=(0, 3)),
-                   work_done=0.7)
-        assert store.pseudo_for_origin(1, (0, 3)).work_done == 0.7
-        assert store.pseudo_for_origin(1, (0, 9)) is None
+        regular = _add(store, 0, 1, 1.0)
+        _add(store, 0, 2, 2.0, kind=PSEUDO, origin=(1, 1))
+        assert store.latest_regular_row(0) is regular
+        assert store.latest_regular_row(0, before=0.5)[1] is INITIAL
 
     def test_counting_and_peak(self):
         store = CheckpointStore(2)
         for idx in range(1, 4):
-            store.save(_rp(0, idx, float(idx)), work_done=float(idx))
+            _add(store, 0, idx, float(idx))
         assert store.count(0) == 4 and store.count() == 5
         assert store.peak_count == 5
         assert store.total_saves == 5  # includes the two initial states
 
     def test_purge_before_keeps_latest_regular_and_initial(self):
         store = CheckpointStore(1)
-        store.save(_rp(0, 1, 1.0), work_done=1.0)
-        store.save(_rp(0, 2, 2.0), work_done=2.0)
+        initial = store.latest_regular_row(0)
+        first = _add(store, 0, 1, 1.0)
+        second = _add(store, 0, 2, 2.0)
         purged = store.purge_before(0, 5.0)
         assert purged == 1                       # the RP at 1.0
-        assert store.latest_regular(0).index == 2
-        assert store.get(0, 0) is not None       # initial state survives
+        assert not store.retains(0, first)
+        assert store.latest_regular_row(0) is second
+        assert store.retains(0, initial)         # initial state survives
 
     def test_purge_obsolete_pseudo_lines(self):
         store = CheckpointStore(2)
         # P1 takes RP index 1; a PRP for it is implanted in P2.
-        store.save(_rp(0, 1, 1.0), work_done=1.0)
-        store.save(_rp(1, 1, 1.1, kind=CheckpointKind.PSEUDO, origin=(0, 1)),
-                   work_done=1.0)
+        old_rp = _add(store, 0, 1, 1.0)
+        old_prp = _add(store, 1, 1, 1.1, kind=PSEUDO, origin=(0, 1))
         # P1 takes a newer RP index 2 with its PRP.
-        store.save(_rp(0, 2, 2.0), work_done=2.0)
-        store.save(_rp(1, 2, 2.1, kind=CheckpointKind.PSEUDO, origin=(0, 2)),
-                   work_done=2.0)
+        new_rp = _add(store, 0, 2, 2.0)
+        new_prp = _add(store, 1, 2, 2.1, kind=PSEUDO, origin=(0, 2))
         purged = store.purge_obsolete_pseudo_lines()
-        assert purged >= 2
+        assert purged == 2
+        assert store.count() == 4
         # The PRP for the *current* RP of P1 survives, the stale one does not.
-        assert store.pseudo_for_origin(1, (0, 2)) is not None
-        assert store.pseudo_for_origin(1, (0, 1)) is None
+        assert store.retains(1, new_prp) and not store.retains(1, old_prp)
         # P1's latest RP survives, its older one is gone.
-        assert store.get(0, 2) is not None and store.get(0, 1) is None
-
-    def test_total_size_uses_state_size(self):
-        store = CheckpointStore(2, state_size=4.0)
-        assert store.total_size() == pytest.approx(8.0)
+        assert store.retains(0, new_rp) and not store.retains(0, old_rp)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             CheckpointStore(0)
-        with pytest.raises(ValueError):
-            CheckpointStore(1, state_size=0.0)
-
-    def test_saved_state_matches(self):
-        rp = _rp(0, 1, 1.0)
-        state = SavedState(process=0, index=1, time=1.0,
-                           kind=CheckpointKind.REGULAR, work_done=0.5)
-        assert state.matches(rp)
-        assert not state.matches(_rp(0, 2, 1.0))
 
 
 class TestRunReport:

@@ -1,8 +1,8 @@
 """The runtimes on flat columns: no per-event objects, an O(n) Section 4 purge.
 
-* A run builds no :class:`RecoveryPoint`, :class:`Interaction` or
-  :class:`SavedState`: checkpoints are history rows the store also indexes,
-  and those value objects exist only for readers.
+* A run builds no :class:`RecoveryPoint` or :class:`Interaction`:
+  checkpoints are history rows the store also indexes, and those value
+  objects exist only for readers.
 * :meth:`CheckpointStore.purge_obsolete_pseudo_lines` visits only what
   changed since the previous purge; it must discard exactly what the
   Section 4 rule applied to every retained state would.
@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.types import CheckpointKind, Interaction, RecoveryPoint
 from repro.recovery.asynchronous import AsynchronousRuntime
-from repro.recovery.checkpoint import CheckpointStore, SavedState
+from repro.recovery.checkpoint import CheckpointStore
 from repro.recovery.pseudo import PseudoRecoveryPointRuntime
 from repro.recovery.synchronized import SynchronizedRuntime
 
@@ -31,7 +31,7 @@ REGULAR, PSEUDO, INITIAL = (CheckpointKind.REGULAR, CheckpointKind.PSEUDO,
 ], ids=["asynchronous", "pseudo", "synchronized"])
 def test_run_loop_builds_no_value_objects(monkeypatch, small_workload, factory):
     built = []
-    for cls in (RecoveryPoint, Interaction, SavedState):
+    for cls in (RecoveryPoint, Interaction):
         original = cls.__init__
 
         def counting(self, *args, _original=original, _name=cls.__name__,
@@ -41,12 +41,11 @@ def test_run_loop_builds_no_value_objects(monkeypatch, small_workload, factory):
 
         monkeypatch.setattr(cls, "__init__", counting)
     runtime = factory(small_workload)
-    runtime.tracer.disable_log()
     report = runtime.run()
     assert report.rollback_count > 0       # the rollback paths ran too
     assert built == []
     # Readers still get the objects, built from the columns on demand.
-    assert runtime.tracer.history.interactions
+    assert runtime.history.interactions
     assert "Interaction" in built
 
 
@@ -74,29 +73,32 @@ def test_incremental_purge_matches_the_full_rule(seed):
     rng = random.Random(seed)
     n = rng.randint(2, 5)
     store = CheckpointStore(n)
+    # Every row the store was given, by (process, index); a process's
+    # initial row is its latest regular one before any save.
+    rows = {(pid, 0): store.latest_regular_row(pid) for pid in range(n)}
     shadow = {(pid, 0): (0.0, INITIAL, None) for pid in range(n)}
     counters = [1] * n
     time = 0.0
+
+    def add(pid, kind, origin=None):
+        index = counters[pid]
+        counters[pid] += 1
+        row = (time, kind, index, origin, time, False, None)
+        store.add(pid, row)
+        rows[pid, index] = row
+        shadow[pid, index] = (time, kind, origin)
+        return index
+
     for _ in range(300):
         time += rng.random()
         action = rng.random()
         pid = rng.randrange(n)
         if action < 0.45:
-            index = counters[pid]
-            counters[pid] += 1
-            rp = RecoveryPoint(time=time, process=pid, index=index)
-            store.save(rp, work_done=time)
-            shadow[pid, index] = (time, REGULAR, None)
+            index = add(pid, REGULAR)
             # A broadcast of PRPs for this RP to some of the others.
             for other in range(n):
                 if other != pid and rng.random() < 0.8:
-                    pindex = counters[other]
-                    counters[other] += 1
-                    prp = RecoveryPoint(time=time, process=other,
-                                        index=pindex, kind=PSEUDO,
-                                        origin=(pid, index))
-                    store.save(prp, work_done=time)
-                    shadow[other, pindex] = (time, PSEUDO, (pid, index))
+                    add(other, PSEUDO, (pid, index))
         elif action < 0.85:
             expected = _rule(shadow)
             purged = store.purge_obsolete_pseudo_lines()
@@ -104,21 +106,16 @@ def test_incremental_purge_matches_the_full_rule(seed):
             shadow = {key: shadow[key] for key in expected}
         elif action < 0.95:
             # A PRP whose trigger is long gone (or never existed).
-            pindex = counters[pid]
-            counters[pid] += 1
-            origin = ((pid + 1) % n, rng.randrange(counters[(pid + 1) % n]))
-            store.save(RecoveryPoint(time=time, process=pid, index=pindex,
-                                     kind=PSEUDO, origin=origin),
-                       work_done=time)
-            shadow[pid, pindex] = (time, PSEUDO, origin)
+            add(pid, PSEUDO,
+                ((pid + 1) % n, rng.randrange(counters[(pid + 1) % n])))
         else:
             cut = time - rng.random() * 3.0
             store.purge_before(pid, cut, keep_latest_regular=rng.random() < 0.7)
             shadow = {key: value for key, value in shadow.items()
-                      if key[0] != pid or store.get(*key) is not None}
+                      if store.retains(key[0], rows[key])}
         assert store.count() == len(shadow)
-        assert {(pid, state.index) for pid in range(n)
-                for state in store.states_of(pid)} == set(shadow)
+        assert {key for key, row in rows.items()
+                if store.retains(key[0], row)} == set(shadow)
 
 
 #: The callbacks that carry scheme logic: the only main-heap events.
@@ -153,7 +150,6 @@ def test_only_scheme_logic_reaches_the_main_heap(monkeypatch, small_workload,
 
     monkeypatch.setattr(base, "_heappop", counting_pop)
     runtime = factory(small_workload)
-    runtime.tracer.disable_log()
     report = runtime.run()
     assert set(popped["main"]) <= SCHEME_EVENTS
     assert "_fire_block_boundary" in popped["main"]

@@ -75,7 +75,7 @@ class TestAsynchronousSpecifics:
         report = runtime.run()
         recorded = sum(p.checkpoints_taken for p in report.processes)
         history_count = sum(
-            len(runtime.tracer.history.recovery_points(pid))
+            len(runtime.history.recovery_points(pid))
             for pid in range(small_workload.n_processes))
         assert history_count == recorded
 

@@ -339,7 +339,7 @@ class TestRunCLIStoreAndForce:
         assert cli_main(["run", "figure6", "-o", str(path), "--force"]) == 0
 
     def test_output_envelope_carries_version(self, tmp_path):
-        from repro._version import __version__
+        from repro import __version__
         path = tmp_path / "out.json"
         assert cli_main(["run", "figure6", "-o", str(path)]) == 0
         with open(path, encoding="utf-8") as handle:

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from repro._version import __version__
+from repro import __version__
 from repro.experiments.common import ExperimentResult
 from repro.report.store import (ResultStore, StoreRecord, canonical_params,
                                 store_key)

@@ -13,7 +13,7 @@ import sqlite3
 
 import pytest
 
-from repro._version import __version__
+from repro import __version__
 from repro.experiments.common import ExperimentResult
 from repro.report.store import (ResultStore, StoreRecord, store_key,
                                 strict_jsonable)

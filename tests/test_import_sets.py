@@ -158,7 +158,7 @@ class TestImportSets:
 #: model, the sampler, the split and lumped chains, the process models and
 #: the trace replayer, the scenario registry and runner.
 OFF_DENSE_PATH = ("repro.core.history", "repro.core.rollback",
-                  "repro.core.events", "repro.core.recovery_line",
+                  "repro.core.recovery_line",
                   "repro.core.intervals", "repro.core.types",
                   "repro.markov.montecarlo", "repro.markov.split_chain",
                   "repro.markov.dtmc", "repro.markov.simplified",

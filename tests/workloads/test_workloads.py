@@ -119,8 +119,8 @@ class TestTraces:
                   TraceEvent(time=1.5, kind="msg", process=0, peer=1),
                   TraceEvent(time=2.0, kind="prp", process=1, origin=(0, 1))]
         history = history_from_trace(2, events)
-        assert history.checkpoint_count(0, CheckpointKind.REGULAR) == 1
-        assert history.checkpoint_count(1, CheckpointKind.PSEUDO) == 1
+        assert len(history.checkpoints(0, kinds=(CheckpointKind.REGULAR,))) == 1
+        assert len(history.checkpoints(1, kinds=(CheckpointKind.PSEUDO,))) == 1
         assert len(history.interactions) == 1
 
     def test_figure1_trace_reproduces_paper_rollback(self):
