@@ -75,6 +75,74 @@ class TestCheckpointStore:
         # P1's latest RP survives, its older one is gone.
         assert store.retains(0, new_rp) and not store.retains(0, old_rp)
 
+    def test_purged_row_is_no_longer_retained(self):
+        store = CheckpointStore(1)
+        row = _add(store, 0, 1, 1.0)
+        _add(store, 0, 2, 2.0)
+        store.purge_before(0, 1.5)
+        assert not store.retains(0, row)
+        assert store.count(0) == 2          # initial state and the RP at 2.0
+
+    def test_add_overwrites_the_same_index(self):
+        store = CheckpointStore(1)
+        _add(store, 0, 1, 3.0)
+        replacement = _add(store, 0, 1, 1.0)
+        assert store.count(0) == 2
+        assert store.total_saves == 3
+        # The overwritten row is gone, so the latest regular state is rescanned.
+        assert store.latest_regular_row(0) is replacement
+
+    def test_latest_regular_row_before_a_window(self):
+        store = CheckpointStore(1)
+        first = _add(store, 0, 1, 1.0)
+        _add(store, 0, 2, 2.0)
+        _add(store, 0, 3, 3.0)
+        assert store.latest_regular_row(0, before=1.5) is first
+        assert store.latest_regular_row(0, before=1.0) is first
+        assert store.latest_regular_row(0, before=0.0)[1] is INITIAL
+
+    def test_purge_before_may_drop_the_latest_regular(self):
+        store = CheckpointStore(1)
+        _add(store, 0, 1, 1.0)
+        _add(store, 0, 2, 2.0)
+        purged = store.purge_before(0, 5.0, keep_latest_regular=False)
+        assert purged == 2
+        # Only the initial state is left to restart from.
+        assert store.latest_regular_row(0)[1] is INITIAL
+        assert store.count(0) == 1
+
+    def test_peak_survives_a_purge(self):
+        store = CheckpointStore(1)
+        for idx in range(1, 4):
+            _add(store, 0, idx, float(idx))
+        store.purge_before(0, 10.0)
+        assert store.count() == 2
+        assert store.peak_count == 4
+        assert store.total_saves == 4
+
+    def test_prp_lives_until_its_origin_is_superseded(self):
+        store = CheckpointStore(2)
+        _add(store, 0, 1, 1.0)
+        prp = _add(store, 1, 1, 1.0, kind=PSEUDO, origin=(0, 1))
+        assert store.purge_obsolete_pseudo_lines() == 0
+        assert store.retains(1, prp)
+        # P2's own new RP does not touch a PRP implanted for P1's RP.
+        _add(store, 1, 2, 1.5)
+        store.purge_obsolete_pseudo_lines()
+        assert store.retains(1, prp)
+        _add(store, 0, 2, 2.0)
+        store.purge_obsolete_pseudo_lines()
+        assert not store.retains(1, prp)
+
+    def test_section4_purge_keeps_initial_states(self):
+        store = CheckpointStore(2)
+        initial = store.latest_regular_row(1)
+        _add(store, 1, 1, 1.0, kind=PSEUDO, origin=(0, 1))
+        # The PRP's origin RP was never retained, so the PRP is obsolete.
+        assert store.purge_obsolete_pseudo_lines() == 1
+        assert store.retains(1, initial)
+        assert store.count() == 2
+
     def test_validation(self):
         with pytest.raises(ValueError):
             CheckpointStore(0)
