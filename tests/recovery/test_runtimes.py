@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core.types import CheckpointKind
 from repro.recovery.asynchronous import AsynchronousRuntime
 from repro.recovery.pseudo import PseudoRecoveryPointRuntime
 from repro.recovery.synchronized import SynchronizedRuntime, SyncStrategy
 from repro.workloads.generators import homogeneous_workload, pipeline_workload
+
+REGULAR, PSEUDO = CheckpointKind.REGULAR, CheckpointKind.PSEUDO
 
 ALL_RUNTIMES = [
     ("async", lambda wl, seed: AsynchronousRuntime(wl, seed=seed)),
@@ -56,6 +59,23 @@ class TestCommonBehaviour:
         assert pricey.checkpoint_overhead_total >= cheap.checkpoint_overhead_total
         assert cheap.checkpoint_overhead_total == 0.0
 
+    @pytest.mark.parametrize("name,factory", ALL_RUNTIMES)
+    def test_history_contains_recorded_checkpoints(self, small_workload, name,
+                                                   factory):
+        runtime = factory(small_workload, 6)
+        report = runtime.run()
+        history = runtime.history
+        for process in report.processes:
+            pid = process.process
+            assert len(history.checkpoints(pid, kinds=(REGULAR,))) \
+                == process.checkpoints_taken
+            assert len(history.checkpoints(pid, kinds=(PSEUDO,))) \
+                == process.pseudo_checkpoints_taken
+        # The store saw the n initial states plus one add per history row.
+        assert report.total_saves == sum(
+            len(history.checkpoint_rows(pid)[0])
+            for pid in range(small_workload.n_processes))
+
 
 class TestAsynchronousSpecifics:
     def test_rollbacks_happen_under_faults(self, small_workload):
@@ -69,15 +89,6 @@ class TestAsynchronousSpecifics:
         purged = AsynchronousRuntime(small_workload, seed=2,
                                      purge_behind_recovery_lines=True).run()
         assert purged.peak_saved_states <= growing.peak_saved_states
-
-    def test_history_contains_recorded_checkpoints(self, small_workload):
-        runtime = AsynchronousRuntime(small_workload, seed=6)
-        report = runtime.run()
-        recorded = sum(p.checkpoints_taken for p in report.processes)
-        history_count = sum(
-            len(runtime.history.recovery_points(pid))
-            for pid in range(small_workload.n_processes))
-        assert history_count == recorded
 
     def test_extra_metrics_present(self, small_workload):
         report = AsynchronousRuntime(small_workload, seed=8).run()
@@ -150,6 +161,10 @@ class TestPseudoSpecifics:
         assert np.mean(prp_distances) <= np.mean(async_distances) * 1.25
 
     def test_extra_metrics_track_implantation(self, small_workload):
-        report = PseudoRecoveryPointRuntime(small_workload, seed=4).run()
-        assert report.extra["prp_implanted"] > 0
-        assert report.extra["implantation_overhead"] >= 0.0
+        runtime = PseudoRecoveryPointRuntime(small_workload, seed=4)
+        report = runtime.run()
+        prps = sum(len(runtime.history.checkpoints(pid, kinds=(PSEUDO,)))
+                   for pid in range(small_workload.n_processes))
+        assert report.extra["prp_implanted"] == prps > 0
+        assert report.extra["implantation_overhead"] == pytest.approx(
+            prps * small_workload.checkpoint_cost)
