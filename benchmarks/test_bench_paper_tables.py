@@ -1,24 +1,21 @@
 """Benchmarks regenerating the paper's quantitative artefacts.
 
 E3 (Figure 5), E4 (Figure 6), E5 (Table 1), E6 (Section 3 CL), E7 (Section 4 PRP
-costs) from the DESIGN.md experiment index.  Each benchmark times the regeneration
-and prints the regenerated rows.
+costs), each run as its registered scenario.  Each benchmark times the
+regeneration and prints the regenerated rows.
 """
 
 import pytest
 
 from benchmarks.conftest import emit
-from repro.experiments.figure5 import run_figure5
-from repro.experiments.figure6 import run_figure6
-from repro.experiments.prp_costs import run_prp_costs
-from repro.experiments.sync_loss import run_sync_loss
-from repro.experiments.table1 import PAPER_TABLE1, run_table1
+from repro.experiments.table1 import PAPER_TABLE1
+from repro.runner import run_scenario
 
 
 @pytest.mark.benchmark(group="paper-tables")
 def test_bench_table1(benchmark):
     """E5 — Table 1: E[X] and E[L_i] for the five parameter cases."""
-    result = benchmark(run_table1, simulate=False)
+    result = benchmark(run_scenario, "table1", seed=2024, simulate=False)
     emit(result)
     # Reproduction guard: the E[L] columns must match the paper.
     for case in range(1, 6):
@@ -29,8 +26,8 @@ def test_bench_table1(benchmark):
 @pytest.mark.benchmark(group="paper-tables")
 def test_bench_table1_montecarlo(benchmark):
     """E5 (paper methodology) — Table 1 via Monte-Carlo simulation of the model."""
-    result = benchmark.pedantic(run_table1, kwargs=dict(simulate=True,
-                                                        n_intervals=4000, seed=7),
+    result = benchmark.pedantic(run_scenario, args=("table1",),
+                                kwargs=dict(seed=7, reps=4000, simulate=True),
                                 iterations=1, rounds=1)
     emit(result)
     for row in result.rows:
@@ -40,7 +37,9 @@ def test_bench_table1_montecarlo(benchmark):
 @pytest.mark.benchmark(group="paper-figures")
 def test_bench_figure5(benchmark):
     """E3 — Figure 5: E[X] versus the number of processes at constant rho."""
-    result = benchmark(run_figure5, (2, 3, 4, 5, 6, 7, 8), (0.5, 1.0, 2.0, 4.0))
+    result = benchmark(run_scenario, "figure5",
+                       n_values=(2, 3, 4, 5, 6, 7, 8),
+                       rho_values=(0.5, 1.0, 2.0, 4.0))
     emit(result)
     high = result.column("E[X] rho=4")
     assert high[-1] > high[0] * 10.0          # drastic growth with n
@@ -49,7 +48,7 @@ def test_bench_figure5(benchmark):
 @pytest.mark.benchmark(group="paper-figures")
 def test_bench_figure6(benchmark):
     """E4 — Figure 6: the density f_X(t) of the inter-recovery-line interval."""
-    result = benchmark(run_figure6)
+    result = benchmark(run_scenario, "figure6")
     emit(result)
     for row in result.rows:
         assert row.get("f(0)") > row.get("f(2)")
@@ -58,7 +57,7 @@ def test_bench_figure6(benchmark):
 @pytest.mark.benchmark(group="paper-sections")
 def test_bench_sync_loss(benchmark):
     """E6 — Section 3: mean computation-power loss CL of synchronized RBs."""
-    result = benchmark(run_sync_loss)
+    result = benchmark(run_scenario, "sync_loss")
     emit(result)
     assert result.column("CL h=1") == sorted(result.column("CL h=1"))
 
@@ -66,7 +65,7 @@ def test_bench_sync_loss(benchmark):
 @pytest.mark.benchmark(group="paper-sections")
 def test_bench_prp_costs(benchmark):
     """E7 — Section 4: PRP overhead, storage and rollback-distance bound."""
-    result = benchmark(run_prp_costs)
+    result = benchmark(run_scenario, "prp_costs")
     emit(result)
     ratios = result.column("bound / E[X]")
     assert ratios[-1] < ratios[0]

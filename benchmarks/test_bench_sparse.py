@@ -17,15 +17,14 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.core.parameters import SystemParameters
-from repro.experiments.heterogeneous_sweep import (heterogeneous_parameters,
-                                                   run_heterogeneous_sweep)
 from repro.markov.generator import build_phase_type
+from repro.runner import run_scenario
 
 #: Heterogeneous family used throughout (gradient + locality decay) — the
 #: workload the lumped chain cannot represent.
 def _hetero(n: int) -> SystemParameters:
-    return heterogeneous_parameters(n, mu_gradient=2.0, lam_base=0.5,
-                                    locality=1.0)
+    return SystemParameters.heterogeneous(n, mu_gradient=2.0, lam_base=0.5,
+                                          locality=1.0)
 
 
 def _analytic_pipeline(params: SystemParameters, backend: str) -> float:
@@ -119,7 +118,7 @@ def test_sparse_full_chain_moments_n14_heterogeneous():
 def test_bench_heterogeneous_sweep_scenario(benchmark):
     """The registered heterogeneous_sweep scenario end to end (n=9, serial)."""
     result = benchmark.pedantic(
-        run_heterogeneous_sweep,
+        run_scenario, args=("heterogeneous_sweep",),
         kwargs={"n": 9, "mu_gradients": (1.0, 2.0)},
         iterations=1, rounds=1)
     emit(result)

@@ -3,17 +3,15 @@
 import pytest
 
 from benchmarks.conftest import emit
-from repro.experiments.ablation import run_detector_ablation, run_solver_ablation
-from repro.experiments.sync_loss import run_sync_loss_validation
-from repro.experiments.validation import run_validation
+from repro.runner import run_scenario
 
 
 @pytest.mark.benchmark(group="validation")
 def test_bench_validation_three_way(benchmark):
     """E10 — analytic vs Monte-Carlo vs history-level agreement on E[X]."""
-    result = benchmark.pedantic(run_validation,
-                                kwargs=dict(cases=(1, 2), n_intervals=3000,
-                                            history_duration=250.0, seed=17),
+    result = benchmark.pedantic(run_scenario, args=("validation",),
+                                kwargs=dict(seed=17, reps=3000, cases=(1, 2),
+                                            history_duration=250.0),
                                 iterations=1, rounds=1)
     emit(result)
     for row in result.rows:
@@ -23,8 +21,8 @@ def test_bench_validation_three_way(benchmark):
 @pytest.mark.benchmark(group="validation")
 def test_bench_sync_loss_runtime_validation(benchmark):
     """E6 cross-check — measured waiting loss of the synchronized runtime vs CL."""
-    result = benchmark.pedantic(run_sync_loss_validation,
-                                kwargs=dict(n=3, work=300.0, seed=13),
+    result = benchmark.pedantic(run_scenario, args=("sync_loss_validation",),
+                                kwargs=dict(seed=13, n=3, work=300.0),
                                 iterations=1, rounds=1)
     emit(result)
     assert result.rows[0].get("relative error") < 0.3
@@ -33,8 +31,9 @@ def test_bench_sync_loss_runtime_validation(benchmark):
 @pytest.mark.benchmark(group="ablation")
 def test_bench_ablation_detectors(benchmark):
     """Ablation — exact vs latest-RP (paper model) recovery-line detection."""
-    result = benchmark.pedantic(run_detector_ablation,
-                                kwargs=dict(cases=(1, 2), duration=200.0, seed=19),
+    result = benchmark.pedantic(run_scenario, args=("detector_ablation",),
+                                kwargs=dict(seed=19, cases=(1, 2),
+                                            duration=200.0),
                                 iterations=1, rounds=1)
     emit(result)
     for row in result.rows:
@@ -44,6 +43,6 @@ def test_bench_ablation_detectors(benchmark):
 @pytest.mark.benchmark(group="ablation")
 def test_bench_ablation_solvers(benchmark):
     """Ablation — matrix-exponential vs Chapman-Kolmogorov ODE evaluation."""
-    result = benchmark(run_solver_ablation, 1)
+    result = benchmark(run_scenario, "solver_ablation", case=1)
     emit(result)
     assert max(result.column("abs diff")) < 1e-6

@@ -53,6 +53,7 @@ if TYPE_CHECKING:  # the runtimes load in the worker, on first use
 __all__ = [
     "ANALYTIC_STRATEGY_METRICS",
     "DEFAULT_REP_CHUNK",
+    "REPORT_GETTERS",
     "StrategyEvaluator",
     "StrategyTask",
     "analytic_strategy_checks",
@@ -67,10 +68,10 @@ _MEASURED_UNSUPPORTED = frozenset({"expected_wait"})
 #: The analytic engine's strategy vocabulary (Section 3 closed forms).
 ANALYTIC_STRATEGY_METRICS = frozenset({"sync_loss", "expected_wait"})
 
-#: Per-run report getters, named exactly like the strategy metrics.  Averaging
-#: these over the replications reproduces the pre-facade ``_summarize`` of the
-#: strategy-comparison experiment float for float.
-_REPORT_GETTERS = {
+#: Per-run report getters, named exactly like the strategy metrics.  The engine
+#: and :func:`repro.experiments.strategy_comparison.run_strategy_comparison`
+#: both reduce a cell to the mean of these over its replications.
+REPORT_GETTERS = {
     "makespan": lambda r: r.makespan,
     "slowdown": lambda r: r.slowdown,
     "rollbacks": lambda r: float(r.rollback_count),
@@ -222,7 +223,7 @@ class StrategyEvaluator(Evaluator):
                 metrics[name] = float(sum(r.recovery_lines_committed
                                           for r in reports))
                 continue
-            values = [_REPORT_GETTERS[name](r) for r in reports]
+            values = [REPORT_GETTERS[name](r) for r in reports]
             metrics[name] = float(np.mean(values))
             if len(values) > 1:
                 metrics[f"stderr_{name}"] = float(

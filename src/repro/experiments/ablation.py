@@ -1,4 +1,4 @@
-"""Ablation experiments for the design decisions called out in DESIGN.md.
+"""Ablation experiments for two modelling choices of the paper.
 
 * **Detector ablation** — the paper's Markov model declares a recovery line only
   when *every* process's most recent action is a recovery point, which is a
@@ -17,14 +17,14 @@ The detector ablation generates one history per case through the runner backend
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.experiments.common import ExperimentResult
-from repro.runner import ExecutionContext, run_scenario, scenario
+from repro.runner import ExecutionContext, scenario
 
-__all__ = ["run_detector_ablation", "run_solver_ablation"]
+__all__ = ["detector_ablation_scenario", "solver_ablation_scenario"]
 
 
 @dataclass(frozen=True)
@@ -100,15 +100,6 @@ def detector_ablation_scenario(ctx: ExecutionContext, *,
     return result
 
 
-def run_detector_ablation(cases: Sequence[int] = (1, 2),
-                          duration: float = 300.0,
-                          seed: Optional[int] = 13, *, backend=None,
-                          workers: Optional[int] = None) -> ExperimentResult:
-    """Detector ablation (compatibility wrapper over ``run_scenario``)."""
-    return run_scenario("detector_ablation", backend=backend, workers=workers,
-                        seed=seed, cases=cases, duration=duration)
-
-
 @scenario("solver_ablation",
           description="Phase-type closed form vs Chapman-Kolmogorov ODE solver",
           paper_reference="Section 2.3 (Chapman-Kolmogorov equations)")
@@ -149,10 +140,3 @@ def solver_ablation_scenario(ctx: ExecutionContext, *, case: int = 1,
             "abs diff": float(abs(a - b)),
         })
     return result
-
-
-def run_solver_ablation(case: int = 1,
-                        times: Sequence[float] = (0.25, 0.5, 1.0, 1.5, 2.0)
-                        ) -> ExperimentResult:
-    """Solver agreement check (deprecated wrapper over ``run_scenario``)."""
-    return run_scenario("solver_ablation", case=case, times=tuple(times))

@@ -23,7 +23,7 @@ from typing import Sequence
 from repro.experiments.common import ExperimentResult
 from repro.runner import ExecutionContext, scenario
 
-__all__ = ["run_cascading_faults"]
+__all__ = ["cascading_faults_scenario"]
 
 METRICS = ("makespan", "rollbacks", "lost_work")
 
@@ -96,12 +96,3 @@ def cascading_faults_scenario(ctx: ExecutionContext, *,
                 row[f"{metric} {scheme}"] = evaluation.metrics[metric]
         result.add_row(f"p={float(p):g}", **row)
     return result
-
-
-def run_cascading_faults(*, replications: int = 5, backend=None,
-                         **axes) -> ExperimentResult:
-    """Compatibility wrapper: run the scenario outside the CLI."""
-    from repro.runner import run_scenario
-
-    return run_scenario("cascading_faults", reps=replications,
-                        backend=backend, **axes)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.util.tables import AsciiTable
 
@@ -31,8 +31,7 @@ class ExperimentResult:
     """A regenerated artefact: metadata, column order and rows.
 
     ``paper_reference`` names the table/figure of the paper the result reproduces;
-    ``notes`` records substitutions or known deviations (mirrored in
-    EXPERIMENTS.md).
+    ``notes`` records substitutions or known deviations.
     """
 
     name: str

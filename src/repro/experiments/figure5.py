@@ -10,12 +10,12 @@ full chain.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments.common import ExperimentResult
-from repro.runner import ExecutionContext, run_scenario, scenario
+from repro.runner import ExecutionContext, scenario
 
-__all__ = ["run_figure5"]
+__all__ = ["figure5_scenario"]
 
 
 @scenario("figure5",
@@ -80,14 +80,3 @@ def figure5_scenario(ctx: ExecutionContext, *,
             values[f"E[X] rho={rho:g}"] = mean_x
         result.add_row(f"n={n}", **values)
     return result
-
-
-def run_figure5(n_values: Sequence[int] = (2, 3, 4, 5, 6, 7, 8),
-                rho_values: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
-                mu: float = 1.0, *, cross_check_full_chain_up_to: int = 5,
-                backend=None, workers: Optional[int] = None
-                ) -> ExperimentResult:
-    """Figure 5 series (deprecated compatibility wrapper over the scenario)."""
-    return run_scenario("figure5", backend=backend, workers=workers,
-                        n_values=n_values, rho_values=rho_values, mu=mu,
-                        cross_check_full_chain_up_to=cross_check_full_chain_up_to)

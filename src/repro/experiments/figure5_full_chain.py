@@ -16,12 +16,12 @@ and process-pool runs are bit-identical by construction.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments.common import ExperimentResult
-from repro.runner import ExecutionContext, run_scenario, scenario
+from repro.runner import ExecutionContext, scenario
 
-__all__ = ["run_figure5_full_chain"]
+__all__ = ["figure5_full_chain_scenario"]
 
 
 @scenario("figure5_full_chain",
@@ -94,12 +94,3 @@ def figure5_full_chain_scenario(ctx: ExecutionContext, *,
         backends = {backend for _mean, _err, backend in row_cells}
         result.add_row(f"n={n} [{'/'.join(sorted(backends))}]", **values)
     return result
-
-
-def run_figure5_full_chain(n_values: Sequence[int] = (6, 8, 10, 12),
-                           rho_values: Sequence[float] = (0.5, 1.0, 2.0),
-                           mu: float = 1.0, *, backend=None,
-                           workers: Optional[int] = None) -> ExperimentResult:
-    """Full-chain Figure 5 sweep (compatibility wrapper over ``run_scenario``)."""
-    return run_scenario("figure5_full_chain", backend=backend, workers=workers,
-                        n_values=n_values, rho_values=rho_values, mu=mu)

@@ -17,7 +17,7 @@ from repro.experiments.common import ExperimentResult
 from repro.runner import ExecutionContext, scenario
 from repro.workloads.generators import FIGURE6_CASES, paper_figure6_case
 
-__all__ = ["run_figure6", "figure6_curves"]
+__all__ = ["figure6_scenario", "figure6_curves"]
 
 
 @scenario("figure6",
@@ -80,11 +80,3 @@ def figure6_curves(t_max: float = 2.0, n_points: int = 81):
         model = RecoveryLineIntervalModel(params, prefer_simplified=False)
         curves[f"case {case}"] = np.asarray(model.pdf(times))
     return times, curves
-
-
-def run_figure6(sample_times: Sequence[float] = (0.0, 0.2, 0.4, 0.8, 1.2, 1.6, 2.0)
-                ) -> ExperimentResult:
-    """Figure 6 table (deprecated compatibility wrapper over the scenario)."""
-    from repro.runner import run_scenario
-
-    return run_scenario("figure6", sample_times=tuple(sample_times))

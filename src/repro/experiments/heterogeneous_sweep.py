@@ -21,15 +21,14 @@ deterministic, so serial and process-pool runs are bit-identical.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.experiments.common import ExperimentResult
-from repro.runner import ExecutionContext, run_scenario, scenario
-from repro.workloads.generators import heterogeneous_parameters
+from repro.runner import ExecutionContext, scenario
 
-__all__ = ["heterogeneous_parameters", "run_heterogeneous_sweep"]
+__all__ = ["heterogeneous_sweep_scenario"]
 
 
 @scenario("heterogeneous_sweep",
@@ -89,15 +88,3 @@ def heterogeneous_sweep_scenario(ctx: ExecutionContext, *,
             "q max/min": q_ratio,
         })
     return result
-
-
-def run_heterogeneous_sweep(n: int = 10,
-                            mu_gradients: Sequence[float] = (1.0, 1.5, 2.0,
-                                                             3.0),
-                            mu_base: float = 1.0, lam_base: float = 0.5,
-                            locality: float = 1.0, *, backend=None,
-                            workers: Optional[int] = None) -> ExperimentResult:
-    """Heterogeneous sweep (compatibility wrapper over ``run_scenario``)."""
-    return run_scenario("heterogeneous_sweep", backend=backend,
-                        workers=workers, n=n, mu_gradients=mu_gradients,
-                        mu_base=mu_base, lam_base=lam_base, locality=locality)

@@ -17,7 +17,7 @@ from repro.core.parameters import SystemParameters
 from repro.experiments.common import ExperimentResult
 from repro.runner import ExecutionContext, scenario
 
-__all__ = ["run_prp_costs"]
+__all__ = ["prp_costs_scenario"]
 
 
 @scenario("prp_costs",
@@ -73,13 +73,3 @@ def prp_costs_scenario(ctx: ExecutionContext, *,
             "bound / E[X]": bound / async_ex if async_ex > 0 else float("inf"),
         })
     return result
-
-
-def run_prp_costs(n_values: Sequence[int] = (2, 3, 4, 5, 6, 8, 10),
-                  mu: float = 1.0, rho: float = 1.0,
-                  record_cost: float = 0.02) -> ExperimentResult:
-    """PRP cost table (deprecated compatibility wrapper over the scenario)."""
-    from repro.runner import run_scenario
-
-    return run_scenario("prp_costs", n_values=tuple(n_values), mu=mu, rho=rho,
-                        record_cost=record_cost)

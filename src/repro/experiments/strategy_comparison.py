@@ -12,42 +12,31 @@ The registered scenario is expressed through the unified facade: one
 (scheme, replication) pair remains one task for the experiment runner, so the
 whole comparison fans out across worker processes; seeds per replication are
 fixed up front and shared across schemes (common random numbers), keeping the
-averaged metrics backend independent.  :func:`run_strategy_comparison` keeps
-the direct-runtime path for arbitrary :class:`WorkloadSpec` values (recovery
-blocks, acceptance models) the declarative spec does not express.
+averaged metrics backend independent.  :func:`run_strategy_comparison` runs
+the schemes on an arbitrary :class:`WorkloadSpec` (recovery blocks, acceptance
+models, pipeline rates) the declarative spec does not express, and averages
+each scheme's runs through the strategy engine's per-run getters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from repro.experiments.common import ExperimentResult
-from repro.runner import (
-    ExecutionContext,
-    SerialBackend,
-    make_backend,
-    scenario,
-)
+from repro.runner import ExecutionContext, make_backend, scenario
 
 if TYPE_CHECKING:  # the runtimes load where a scheme runs
     from repro.recovery.report import RunReport
     from repro.workloads.spec import WorkloadSpec
 
-__all__ = ["run_strategy_comparison", "run_scheme_replications"]
+__all__ = ["strategy_comparison_scenario", "run_strategy_comparison"]
 
 METRIC_COLUMNS = ("makespan", "slowdown", "rollbacks", "mean_rollback_distance",
                   "max_rollback_distance", "lost_work", "checkpoint_overhead",
                   "waiting_time", "peak_saved_states")
-
-
-def _run_scheme(scheme: str, workload: WorkloadSpec, seed: int,
-                sync_interval: float) -> RunReport:
-    from repro.recovery import make_runtime
-    return make_runtime(scheme, workload, seed=seed,
-                        sync_interval=sync_interval).run()
 
 
 @dataclass(frozen=True)
@@ -61,38 +50,9 @@ class _SchemeRun:
 
 
 def _run_scheme_task(task: _SchemeRun) -> RunReport:
-    return _run_scheme(task.scheme, task.workload, task.seed, task.sync_interval)
-
-
-def _summarize(reports: Sequence[RunReport]) -> Dict[str, float]:
-    def mean(getter) -> float:
-        return float(np.mean([getter(rep) for rep in reports]))
-
-    return {
-        "makespan": mean(lambda r: r.makespan),
-        "slowdown": mean(lambda r: r.slowdown),
-        "rollbacks": mean(lambda r: r.rollback_count),
-        "mean_rollback_distance": mean(lambda r: r.mean_rollback_distance),
-        "max_rollback_distance": mean(lambda r: r.max_rollback_distance),
-        "lost_work": mean(lambda r: r.lost_work_total),
-        "checkpoint_overhead": mean(lambda r: r.checkpoint_overhead_total),
-        "waiting_time": mean(lambda r: r.waiting_time_total),
-        "peak_saved_states": mean(lambda r: r.peak_saved_states),
-        "completed": float(np.mean([1.0 if r.completed else 0.0 for r in reports])),
-    }
-
-
-def run_scheme_replications(scheme: str, workload: WorkloadSpec, *,
-                            replications: int = 5, base_seed: int = 100,
-                            sync_interval: float = 2.0,
-                            backend=None) -> Dict[str, float]:
-    """Run one scheme several times and average the headline metrics."""
-    if replications < 1:
-        raise ValueError("need at least one replication")
-    backend = make_backend(backend) if backend is not None else SerialBackend()
-    tasks = [_SchemeRun(scheme, workload, base_seed + r, sync_interval)
-             for r in range(replications)]
-    return _summarize(backend.map(_run_scheme_task, tasks))
+    from repro.recovery import make_runtime
+    return make_runtime(task.scheme, task.workload, seed=task.seed,
+                        sync_interval=task.sync_interval).run()
 
 
 def _comparison_result(notes_replications: int) -> ExperimentResult:
@@ -107,18 +67,6 @@ def _comparison_result(notes_replications: int) -> ExperimentResult:
                "PRPs pay state-saving overhead for bounded rollback without "
                "waiting."),
     )
-
-
-def _tabulate(schemes: Sequence[str], tasks: List[_SchemeRun],
-              reports: Sequence[RunReport], replications: int
-              ) -> ExperimentResult:
-    result = _comparison_result(replications)
-    for scheme in schemes:
-        scheme_reports = [rep for task, rep in zip(tasks, reports)
-                          if task.scheme == scheme]
-        metrics = _summarize(scheme_reports)
-        result.add_row(scheme, **{k: metrics[k] for k in METRIC_COLUMNS})
-    return result
 
 
 @scenario("strategy_comparison",
@@ -170,8 +118,18 @@ def run_strategy_comparison(workload: WorkloadSpec, *, replications: int = 5,
     which builds a homogeneous one), so the examples can compare schemes on
     arbitrary workloads; replications fan out across the backend.
     """
+    if replications < 1:
+        raise ValueError(f"need at least one replication, got {replications}")
+    from repro.api.strategy import REPORT_GETTERS
+
     backend = make_backend(backend, workers)
     tasks = [_SchemeRun(scheme, workload, base_seed + r, sync_interval)
              for scheme in schemes for r in range(replications)]
     reports = backend.map(_run_scheme_task, tasks)
-    return _tabulate(schemes, tasks, reports, replications)
+    result = _comparison_result(replications)
+    for i, scheme in enumerate(schemes):
+        runs = reports[i * replications:(i + 1) * replications]
+        result.add_row(scheme, **{
+            name: float(np.mean([REPORT_GETTERS[name](r) for r in runs]))
+            for name in METRIC_COLUMNS})
+    return result

@@ -14,12 +14,12 @@ is what makes the analytic/measured comparison a genuine cross-engine check.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments.common import ExperimentResult
 from repro.runner import ExecutionContext, scenario
 
-__all__ = ["run_sync_loss", "run_sync_loss_validation"]
+__all__ = ["sync_loss_scenario", "sync_loss_validation_scenario"]
 
 
 def _loss_system(scheme_n: int, mu: float, *, mu_spread: float = 1.0,
@@ -86,17 +86,6 @@ def sync_loss_scenario(ctx: ExecutionContext, *,
     return result
 
 
-def run_sync_loss(n_values: Sequence[int] = (2, 3, 4, 6, 8, 12, 16),
-                  mu: float = 1.0,
-                  heterogeneity: Sequence[float] = (1.0, 2.0, 4.0)
-                  ) -> ExperimentResult:
-    """Tabulate ``CL`` versus ``n`` and rate heterogeneity (scenario wrapper)."""
-    from repro.runner import run_scenario
-
-    return run_scenario("sync_loss", n_values=n_values, mu=mu,
-                        heterogeneity=heterogeneity)
-
-
 @scenario("sync_loss_validation",
           description="Section 3 CL formula vs the synchronized runtime",
           paper_reference="Section 3 (CL formula) — runtime cross-check",
@@ -140,16 +129,3 @@ def sync_loss_validation_scenario(ctx: ExecutionContext, *, n: int = 3,
         "lines committed": measured.metrics["recovery_lines_total"],
     })
     return result
-
-
-def run_sync_loss_validation(n: int = 3, mu: float = 1.0, *,
-                             sync_interval: float = 3.0, work: float = 400.0,
-                             seed: Optional[int] = 11, backend=None,
-                             workers: Optional[int] = None,
-                             replications: int = 1) -> ExperimentResult:
-    """Runtime cross-check of ``CL`` (compatibility wrapper over the scenario)."""
-    from repro.runner import run_scenario
-
-    return run_scenario("sync_loss_validation", backend=backend, workers=workers,
-                        seed=seed, reps=replications, n=n, mu=mu,
-                        sync_interval=sync_interval, work=work)

@@ -20,15 +20,13 @@ seeds, so ``--backend process`` reproduces the serial numbers bit for bit.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.experiments.common import ExperimentResult
-from repro.runner import ExecutionContext, run_scenario, scenario
+from repro.runner import ExecutionContext, scenario
 from repro.workloads.generators import TABLE1_CASES
 
-__all__ = ["run_table1", "PAPER_TABLE1"]
+__all__ = ["table1_scenario", "PAPER_TABLE1"]
 
 #: The values printed in the paper (E(X), E(L1), E(L2), E(L3), ΣE(L)).
 PAPER_TABLE1 = {
@@ -107,11 +105,3 @@ def table1_scenario(ctx: ExecutionContext, *, simulate: bool = False
         mu, lam = TABLE1_CASES[case - 1]
         result.add_row(f"case {case} mu={mu} lam={lam}", **values)
     return result
-
-
-def run_table1(*, simulate: bool = False, n_intervals: int = DEFAULT_INTERVALS,
-               seed: Optional[int] = 2024, backend=None,
-               workers: Optional[int] = None) -> ExperimentResult:
-    """Regenerate Table 1 (compatibility wrapper over ``run_scenario``)."""
-    return run_scenario("table1", backend=backend, workers=workers, seed=seed,
-                        reps=n_intervals, simulate=simulate)

@@ -14,14 +14,14 @@ cores with bit-identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.experiments.common import ExperimentResult
-from repro.runner import ExecutionContext, run_scenario, scenario
+from repro.runner import ExecutionContext, scenario
 
-__all__ = ["run_validation"]
+__all__ = ["validation_scenario"]
 
 DEFAULT_INTERVALS = 4_000
 
@@ -101,14 +101,3 @@ def validation_scenario(ctx: ExecutionContext, *,
             "history rel err": abs(history_mean - analytic) / analytic,
         })
     return result
-
-
-def run_validation(cases: Sequence[int] = (1, 2, 3),
-                   n_intervals: int = DEFAULT_INTERVALS,
-                   history_duration: float = 400.0,
-                   seed: Optional[int] = 7, *, backend=None,
-                   workers: Optional[int] = None) -> ExperimentResult:
-    """Three-way validation (compatibility wrapper over ``run_scenario``)."""
-    return run_scenario("validation", backend=backend, workers=workers,
-                        seed=seed, reps=n_intervals, cases=cases,
-                        history_duration=history_duration)

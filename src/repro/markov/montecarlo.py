@@ -10,9 +10,10 @@ Poisson processes (recovery points at rates ``μ_i``, pairwise interactions at r
 
 Because it simulates exactly the stochastic model underlying the CTMC, its
 estimates converge to the analytic phase-type results — this is the basis of the
-validation experiment (E10 in DESIGN.md).  The simulator can also emit a full
-:class:`~repro.core.history.HistoryDiagram` for cross-checking the history-level
-recovery-line detectors against the bit-level bookkeeping.
+``validation`` scenario (:mod:`repro.experiments.validation`).  The simulator
+can also emit a full :class:`~repro.core.history.HistoryDiagram` for
+cross-checking the history-level recovery-line detectors against the bit-level
+bookkeeping.
 """
 
 from __future__ import annotations

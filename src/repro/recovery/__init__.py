@@ -57,12 +57,9 @@ def make_runtime(scheme: str, workload, seed: Optional[int] = None, *,
                  sync_interval: float = 2.0) -> RecoverySchemeRuntime:
     """Build the runtime for a named scheme — the one dispatch point.
 
-    Both the strategy evaluation engine (:mod:`repro.api.strategy`) and the
-    direct experiment path
-    (:func:`repro.experiments.strategy_comparison.run_strategy_comparison`)
-    construct runtimes through here, so a new scheme or changed runtime
-    wiring can never diverge the two.  The synchronized scheme uses the
-    elapsed-time request strategy with the given *sync_interval*.
+    Every caller constructs runtimes through here, so a new scheme or changed
+    runtime wiring reaches them all at once.  The synchronized scheme uses
+    the elapsed-time request strategy with the given *sync_interval*.
     """
     if scheme == "asynchronous":
         return AsynchronousRuntime(workload, seed=seed)

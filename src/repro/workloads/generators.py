@@ -1,8 +1,7 @@
 """Pre-canned workloads: the paper's parameter cases and richer scenarios.
 
 The first two builders reproduce the exact parameter points of Table 1 and
-Figure 6, the third builds the heterogeneous sweep's rate gradients; the
-remaining ones are the domain scenarios used by the examples — a
+Figure 6; the remaining ones are the domain scenarios used by the examples — a
 homogeneous compute job, a producer/consumer pipeline, and a time-critical control
 loop (the paper's motivation for rejecting long rollbacks in "time-critical tasks
 in which a delay in system response beyond … the system deadline leads to a
@@ -11,7 +10,7 @@ catastrophic failure").
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -27,7 +26,6 @@ __all__ = [
     "FIGURE6_CASES",
     "paper_table1_case",
     "paper_figure6_case",
-    "heterogeneous_parameters",
     "homogeneous_workload",
     "pipeline_workload",
     "realtime_control_workload",
@@ -66,10 +64,6 @@ def paper_figure6_case(case: int) -> SystemParameters:
         raise ValueError(f"Figure 6 has cases 1..{len(FIGURE6_CASES)}, got {case}")
     mu, lam = FIGURE6_CASES[case - 1]
     return SystemParameters.three_process(mu, lam)
-
-
-#: The heterogeneous sweep's rate family (the ``heterogeneous`` system kind).
-heterogeneous_parameters = SystemParameters.heterogeneous
 
 
 def homogeneous_workload(n: int = 3, *, mu: float = 1.0, lam: float = 1.0,

@@ -43,8 +43,8 @@ class TestSystemSpec:
         np.testing.assert_array_equal(built.lam, direct.lam)
 
     def test_explicit_round_trips_arbitrary_parameters(self):
-        from repro.experiments.heterogeneous_sweep import heterogeneous_parameters
-        params = heterogeneous_parameters(4, mu_gradient=2.0)
+        from repro.core.parameters import SystemParameters
+        params = SystemParameters.heterogeneous(4, mu_gradient=2.0)
         rebuilt = SystemSpec.explicit(params).build()
         np.testing.assert_array_equal(rebuilt.mu, params.mu)
         np.testing.assert_array_equal(rebuilt.lam, params.lam)

@@ -3,17 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.experiments.ablation import run_detector_ablation, run_solver_ablation
+from repro.core.parameters import SystemParameters
 from repro.experiments.common import ExperimentResult
-from repro.experiments.figure5 import run_figure5
-from repro.experiments.figure5_full_chain import run_figure5_full_chain
-from repro.experiments.figure6 import figure6_curves, run_figure6
-from repro.experiments.heterogeneous_sweep import (heterogeneous_parameters,
-                                                   run_heterogeneous_sweep)
-from repro.experiments.prp_costs import run_prp_costs
-from repro.experiments.sync_loss import run_sync_loss, run_sync_loss_validation
-from repro.experiments.table1 import PAPER_TABLE1, run_table1
-from repro.experiments.validation import run_validation
+from repro.experiments.figure6 import figure6_curves
+from repro.experiments.table1 import PAPER_TABLE1
+from repro.runner import run_scenario
 
 
 class TestResultContainer:
@@ -37,7 +31,7 @@ class TestResultContainer:
 
 class TestTable1:
     def test_matches_paper_EL_columns(self):
-        result = run_table1(simulate=False)
+        result = run_scenario("table1", seed=2024, simulate=False)
         for case in range(1, 6):
             row = result.rows[case - 1]
             paper = PAPER_TABLE1[case]
@@ -45,7 +39,7 @@ class TestTable1:
             if case != 5:
                 # Case 5's printed E(L2)=3.111 is inconsistent with the printed
                 # ΣE(L)=9.933=3·3.311 and with E(L_i)=μ_i·E[X]; we reproduce 3.311
-                # and document the cell as a typo (see EXPERIMENTS.md).
+                # and document the cell as a typo.
                 assert row.get("E[L2]") == pytest.approx(paper[2], abs=2e-3)
             else:
                 assert row.get("E[L2]") == pytest.approx(3.311, abs=2e-3)
@@ -53,13 +47,13 @@ class TestTable1:
             assert row.get("sum E[L]") == pytest.approx(paper[4], abs=5e-3)
 
     def test_EX_within_paper_simulation_tolerance(self):
-        result = run_table1(simulate=False)
+        result = run_scenario("table1", seed=2024, simulate=False)
         for case in range(1, 6):
             row = result.rows[case - 1]
             assert row.get("E[X]") == pytest.approx(PAPER_TABLE1[case][0], rel=0.07)
 
     def test_minimum_at_balanced_mu(self):
-        result = run_table1(simulate=False)
+        result = run_scenario("table1", seed=2024, simulate=False)
         # Cases 1 and 3 (balanced mu) have smaller E[X] and sum E[L] than 2/4/5.
         balanced = [result.rows[0], result.rows[2]]
         skewed = [result.rows[1], result.rows[3], result.rows[4]]
@@ -69,14 +63,15 @@ class TestTable1:
             min(r.get("sum E[L]") for r in skewed)
 
     def test_simulated_columns_close_to_analytic(self):
-        result = run_table1(simulate=True, n_intervals=3000, seed=5)
+        result = run_scenario("table1", seed=5, reps=3000, simulate=True)
         for row in result.rows:
             assert row.get("sim E[X]") == pytest.approx(row.get("E[X]"), rel=0.1)
 
 
 class TestFigure5:
     def test_monotone_in_rho_and_steep_in_n(self):
-        result = run_figure5(n_values=(2, 3, 4, 5), rho_values=(0.5, 1.0, 2.0))
+        result = run_scenario("figure5", n_values=(2, 3, 4, 5),
+                              rho_values=(0.5, 1.0, 2.0))
         for row in result.rows:
             assert row.get("E[X] rho=0.5") <= row.get("E[X] rho=1") \
                 <= row.get("E[X] rho=2")
@@ -85,17 +80,18 @@ class TestFigure5:
 
     def test_cross_check_with_full_chain_is_active(self):
         # Should not raise: lumped and full chains agree for n <= 5.
-        run_figure5(n_values=(3, 4), rho_values=(1.0,),
-                    cross_check_full_chain_up_to=5)
+        run_scenario("figure5", n_values=(3, 4), rho_values=(1.0,),
+                     cross_check_full_chain_up_to=5)
 
     def test_rejects_single_process(self):
         with pytest.raises(ValueError):
-            run_figure5(n_values=(1,), rho_values=(1.0,))
+            run_scenario("figure5", n_values=(1,), rho_values=(1.0,))
 
 
 class TestFigure5FullChain:
     def test_full_chain_crosses_into_sparse_and_agrees(self):
-        result = run_figure5_full_chain(n_values=(4, 10), rho_values=(1.0,))
+        result = run_scenario("figure5_full_chain", n_values=(4, 10),
+                              rho_values=(1.0,))
         labels = [row.label for row in result.rows]
         assert labels == ["n=4 [dense]", "n=10 [sparse]"]
         assert max(result.column("max rel err")) < 1e-6
@@ -104,8 +100,9 @@ class TestFigure5FullChain:
         assert ex[1] > ex[0]
 
     def test_matches_plain_figure5_values(self):
-        full = run_figure5_full_chain(n_values=(4, 6), rho_values=(0.5, 2.0))
-        lumped = run_figure5(n_values=(4, 6), rho_values=(0.5, 2.0))
+        full = run_scenario("figure5_full_chain", n_values=(4, 6),
+                            rho_values=(0.5, 2.0))
+        lumped = run_scenario("figure5", n_values=(4, 6), rho_values=(0.5, 2.0))
         for row_full, row_lumped in zip(full.rows, lumped.rows):
             for rho in ("0.5", "2"):
                 assert row_full.get(f"E[X] rho={rho}") == pytest.approx(
@@ -113,36 +110,39 @@ class TestFigure5FullChain:
 
     def test_rejects_single_process(self):
         with pytest.raises(ValueError):
-            run_figure5_full_chain(n_values=(1,), rho_values=(1.0,))
+            run_scenario("figure5_full_chain", n_values=(1,),
+                         rho_values=(1.0,))
 
 
 class TestHeterogeneousSweep:
     def test_parameter_family_shapes(self):
-        params = heterogeneous_parameters(5, mu_gradient=2.0, locality=1.0)
+        params = SystemParameters.heterogeneous(5, mu_gradient=2.0,
+                                                locality=1.0)
         assert params.n == 5
         assert params.mu[0] == pytest.approx(1.0)
         assert params.mu[-1] == pytest.approx(2.0)
         # Interaction rate decays with process distance.
         assert params.lam[0, 1] > params.lam[0, 4]
         with pytest.raises(ValueError):
-            heterogeneous_parameters(3, mu_gradient=0.0)
+            SystemParameters.heterogeneous(3, mu_gradient=0.0)
         with pytest.raises(ValueError):
-            heterogeneous_parameters(3, locality=-1.0)
+            SystemParameters.heterogeneous(3, locality=-1.0)
 
     def test_symmetric_limit_recovers_lumped_chain(self):
         from repro.markov.simplified import SimplifiedChain
 
-        params = heterogeneous_parameters(6, mu_gradient=1.0, locality=0.0,
-                                          lam_base=0.4)
-        model_mean = run_heterogeneous_sweep(n=6, mu_gradients=(1.0,),
-                                             lam_base=0.4,
-                                             locality=0.0).rows[0].get("E[X]")
+        params = SystemParameters.heterogeneous(6, mu_gradient=1.0,
+                                                locality=0.0, lam_base=0.4)
+        model_mean = run_scenario("heterogeneous_sweep", n=6,
+                                  mu_gradients=(1.0,), lam_base=0.4,
+                                  locality=0.0).rows[0].get("E[X]")
         truth = SimplifiedChain(n=6, mu=1.0, lam=0.4).mean_interval()
         assert params.is_symmetric()
         assert model_mean == pytest.approx(truth, rel=1e-8)
 
     def test_gradient_shortens_interval_and_unbalances_completion(self):
-        result = run_heterogeneous_sweep(n=7, mu_gradients=(1.0, 3.0))
+        result = run_scenario("heterogeneous_sweep", n=7,
+                              mu_gradients=(1.0, 3.0))
         ex = result.column("E[X]")
         ratios = result.column("q max/min")
         # Raising some mu_i shortens the interval, and the completion split
@@ -153,12 +153,12 @@ class TestHeterogeneousSweep:
 
 class TestFigure6:
     def test_density_peaks_near_zero(self):
-        result = run_figure6()
+        result = run_scenario("figure6")
         for row in result.rows:
             assert row.get("f(0)") > row.get("f(0.4)") > row.get("f(2)")
 
     def test_case1_density_at_zero_is_total_mu(self):
-        result = run_figure6()
+        result = run_scenario("figure6")
         assert result.rows[0].get("f(0)") == pytest.approx(3.0)
         assert result.rows[1].get("f(0)") == pytest.approx(1.5)
 
@@ -172,18 +172,20 @@ class TestFigure6:
 
 class TestSectionAnalyses:
     def test_sync_loss_monotone_in_n_and_heterogeneity(self):
-        result = run_sync_loss(n_values=(2, 3, 4), heterogeneity=(1.0, 2.0))
+        result = run_scenario("sync_loss", n_values=(2, 3, 4),
+                              heterogeneity=(1.0, 2.0))
         cl1 = result.column("CL h=1")
         assert cl1 == sorted(cl1)
         for row in result.rows:
             assert row.get("CL h=2") >= row.get("CL h=1")
 
     def test_sync_loss_validation_close(self):
-        result = run_sync_loss_validation(n=3, work=250.0, seed=2)
+        result = run_scenario("sync_loss_validation", seed=2, n=3,
+                              work=250.0)
         assert result.rows[0].get("relative error") < 0.25
 
     def test_prp_costs_shape(self):
-        result = run_prp_costs(n_values=(2, 3, 4, 6))
+        result = run_scenario("prp_costs", n_values=(2, 3, 4, 6))
         assert result.column("extra time per RP") == sorted(
             result.column("extra time per RP"))
         ratios = result.column("bound / E[X]")
@@ -192,8 +194,8 @@ class TestSectionAnalyses:
 
 class TestValidationAndAblation:
     def test_three_way_validation_agrees(self):
-        result = run_validation(cases=(1,), n_intervals=4000,
-                                history_duration=900.0, seed=3)
+        result = run_scenario("validation", seed=3, reps=4000, cases=(1,),
+                              history_duration=900.0)
         row = result.rows[0]
         assert row.get("MC rel err") < 0.1
         # The history-level estimate uses far fewer intervals (one long trajectory)
@@ -202,11 +204,12 @@ class TestValidationAndAblation:
         assert row.get("history rel err") < 0.2
 
     def test_detector_ablation_exact_is_denser(self):
-        result = run_detector_ablation(cases=(1,), duration=150.0, seed=5)
+        result = run_scenario("detector_ablation", seed=5, cases=(1,),
+                              duration=150.0)
         row = result.rows[0]
         assert row.get("exact lines") >= row.get("latest-RP lines")
         assert row.get("conservatism") >= 1.0
 
     def test_solver_ablation_tiny_difference(self):
-        result = run_solver_ablation(case=1)
+        result = run_scenario("solver_ablation", case=1)
         assert max(result.column("abs diff")) < 1e-6

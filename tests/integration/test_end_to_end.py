@@ -6,8 +6,9 @@ import pytest
 from repro.core.intervals import extract_intervals
 from repro.core.recovery_line import ExactRecoveryLineDetector
 from repro.core.rollback import propagate_rollback
-from repro.experiments.strategy_comparison import run_scheme_replications, run_strategy_comparison
+from repro.experiments.strategy_comparison import run_strategy_comparison
 from repro.markov.recovery_line_interval import RecoveryLineIntervalModel
+from repro.recovery import make_runtime
 from repro.recovery.asynchronous import AsynchronousRuntime
 from repro.recovery.pseudo import PseudoRecoveryPointRuntime
 from repro.recovery.synchronized import SynchronizedRuntime
@@ -84,11 +85,13 @@ class TestStrategyComparisonExperiment:
         assert result.row("asynchronous").get("peak_saved_states") >= \
             result.row("synchronized").get("peak_saved_states")
 
-    def test_replication_helper_validates(self, small_workload):
-        with pytest.raises(ValueError):
-            run_scheme_replications("asynchronous", small_workload, replications=0)
-        with pytest.raises(ValueError):
-            run_scheme_replications("bogus", small_workload)
+    def test_comparison_needs_a_replication(self, small_workload):
+        with pytest.raises(ValueError, match="at least one replication"):
+            run_strategy_comparison(small_workload, replications=0)
+
+    def test_make_runtime_rejects_unknown_scheme(self, small_workload):
+        with pytest.raises(ValueError, match="unknown scheme 'bogus'"):
+            make_runtime("bogus", small_workload)
 
 
 class TestRealtimeScenario:

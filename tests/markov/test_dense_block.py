@@ -24,7 +24,6 @@ from repro.markov.recovery_line_interval import RecoveryLineIntervalModel
 from repro.markov.structure_cache import (GeneratorStructure,
                                           clear_structure_cache, structure_for)
 from repro.util import blas
-from repro.workloads.generators import heterogeneous_parameters
 
 
 @pytest.fixture(autouse=True)
@@ -36,8 +35,8 @@ def fresh_cache():
 
 def heterogeneous_n9(lam_base=0.5):
     """The acceptance sweep's system: 512 transient states, dense."""
-    return heterogeneous_parameters(9, mu_base=1.0, mu_gradient=2.0,
-                                    lam_base=lam_base, locality=1.0)
+    return SystemParameters.heterogeneous(9, mu_base=1.0, mu_gradient=2.0,
+                                          lam_base=lam_base, locality=1.0)
 
 
 def ring_n7():
@@ -194,9 +193,10 @@ class TestThreads:
         """Threads evaluating cells of one cached structure at once each get
         their own cell's bits: the shared scratch is filled under a lock."""
         def params(i):
-            return heterogeneous_parameters(7, mu_base=1.0, mu_gradient=2.0,
-                                            lam_base=0.2 + 0.05 * i,
-                                            locality=1.0)
+            return SystemParameters.heterogeneous(7, mu_base=1.0,
+                                                  mu_gradient=2.0,
+                                                  lam_base=0.2 + 0.05 * i,
+                                                  locality=1.0)
 
         expected = [build_phase_type(params(i)).mean().hex()
                     for i in range(8)]

@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) on the core invariants.
 
-These cover the invariants DESIGN.md calls out: generator validity, phase-type
+These cover the model's core invariants: generator validity, phase-type
 moment consistency, order-statistics identities, recovery-line consistency,
 rollback never crossing a recovery line, and checkpoint-store conservation.
 """

@@ -177,7 +177,7 @@ LIST_MODULES = {
     *(f"repro.experiments.{name}" for name in SCENARIO_MODULES),
     "repro.experiments.common", "repro.report", "repro.report.store",
     "repro.runner", "repro.runner.backends", "repro.runner.registry",
-    "repro.runner.runner", "repro.util", "repro.util.tables",
+    "repro.util", "repro.util.tables",
     "repro.util.validation", "repro.workloads", "repro.workloads.generators",
 }
 
@@ -334,13 +334,14 @@ class TestRegistryAndCompat:
         """)
         assert out.split()[-1].split(",") == BUILTIN_SCENARIOS
 
-    @pytest.mark.parametrize("name", sorted(
-        n for n in repro.experiments.__all__ if n.startswith("run_")))
-    def test_run_wrappers_resolve(self, name):
-        namespace = {}
-        exec(f"from repro.experiments import {name}", namespace)
-        assert callable(namespace[name])
-        assert name in dir(repro.experiments)
+    def test_experiments_export_only_the_result_containers(self):
+        assert repro.experiments.__all__ == ["ExperimentResult",
+                                             "ExperimentRow"]
+        for name in repro.experiments.__all__:
+            namespace = {}
+            exec(f"from repro.experiments import {name}", namespace)
+            assert callable(namespace[name])
+            assert name in dir(repro.experiments)
 
     def test_every_public_name_resolves(self):
         for name in repro.__all__:
