@@ -6,7 +6,10 @@ import pytest
 from repro.core.intervals import extract_intervals
 from repro.core.recovery_line import ExactRecoveryLineDetector
 from repro.core.rollback import propagate_rollback
-from repro.experiments.strategy_comparison import run_strategy_comparison
+from repro.experiments.strategy_comparison import (
+    METRIC_COLUMNS,
+    run_strategy_comparison,
+)
 from repro.markov.recovery_line_interval import RecoveryLineIntervalModel
 from repro.recovery import make_runtime
 from repro.recovery.asynchronous import AsynchronousRuntime
@@ -92,6 +95,45 @@ class TestStrategyComparisonExperiment:
     def test_make_runtime_rejects_unknown_scheme(self, small_workload):
         with pytest.raises(ValueError, match="unknown scheme 'bogus'"):
             make_runtime("bogus", small_workload)
+
+
+#: The run-report attribute each comparison column averages.
+REPORT_ATTRIBUTES = {
+    "makespan": "makespan", "slowdown": "slowdown",
+    "rollbacks": "rollback_count",
+    "mean_rollback_distance": "mean_rollback_distance",
+    "max_rollback_distance": "max_rollback_distance",
+    "lost_work": "lost_work_total",
+    "checkpoint_overhead": "checkpoint_overhead_total",
+    "waiting_time": "waiting_time_total",
+    "peak_saved_states": "peak_saved_states",
+}
+
+
+@pytest.fixture(scope="module")
+def comparison_and_runs():
+    """One comparison and, per scheme, the runs it should average."""
+    workload = homogeneous_workload(n=3, mu=1.0, lam=1.0, work=15.0,
+                                    error_rate=0.05)
+    result = run_strategy_comparison(workload, replications=3, base_seed=60)
+    runs = {scheme: [make_runtime(scheme, workload, seed=60 + r).run()
+                     for r in range(3)]
+            for scheme in ("asynchronous", "synchronized", "pseudo")}
+    return result, runs
+
+
+def test_every_comparison_column_has_a_report_attribute():
+    assert sorted(REPORT_ATTRIBUTES) == sorted(METRIC_COLUMNS)
+
+
+@pytest.mark.parametrize("column", METRIC_COLUMNS)
+def test_comparison_column_is_the_mean_of_the_runs(comparison_and_runs,
+                                                     column):
+    result, runs = comparison_and_runs
+    for scheme, reports in runs.items():
+        expected = float(np.mean([getattr(r, REPORT_ATTRIBUTES[column])
+                                  for r in reports]))
+        assert result.row(scheme).get(column) == expected
 
 
 class TestRealtimeScenario:

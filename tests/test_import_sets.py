@@ -343,6 +343,34 @@ class TestRegistryAndCompat:
             assert callable(namespace[name])
             assert name in dir(repro.experiments)
 
+    @pytest.mark.parametrize("name", sorted(
+        set(BUILTIN_SCENARIOS) - {"evaluate", "strategy_comparison"}))
+    def test_scenario_is_the_only_entry_point(self, name):
+        """Each paper artifact runs through ``run_scenario`` alone: neither
+        the package nor the scenario's module keeps a ``run_<name>``."""
+        from repro.runner import get_scenario, load_builtin_scenarios
+        load_builtin_scenarios()
+        module = sys.modules[get_scenario(name).func.__module__]
+        assert module.__name__.startswith("repro.experiments.")
+        assert not hasattr(module, f"run_{name}")
+        with pytest.raises(ImportError):
+            exec(f"from repro.experiments import run_{name}", {})
+
+    def test_strategy_comparison_is_the_only_run_function(self):
+        root = pathlib.Path(SRC, "repro", "experiments")
+        defined = sorted(
+            node.name for path in root.glob("*.py")
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("run_"))
+        assert defined == ["run_strategy_comparison"]
+
+    def test_heterogeneous_parameters_alias_is_gone(self):
+        import repro.experiments.heterogeneous_sweep as sweep
+        import repro.workloads.generators as generators
+        assert not hasattr(sweep, "heterogeneous_parameters")
+        assert not hasattr(generators, "heterogeneous_parameters")
+
     def test_every_public_name_resolves(self):
         for name in repro.__all__:
             assert getattr(repro, name) is not None

@@ -99,3 +99,34 @@ def orphaned_modules() -> list:
 
 def test_every_module_is_reached_from_outside_the_tests():
     assert orphaned_modules() == sorted(KEPT_FOR_TESTS)
+
+
+KNOWN = {"repro", "repro.util", "repro.util.tables", "repro.service"}
+
+
+def _scan(tmp_path, source: str) -> set:
+    path = tmp_path / "script.py"
+    path.write_text(source, encoding="utf-8")
+    return _targets(path, KNOWN)
+
+
+def test_import_statement_reaches_the_module_and_its_parents(tmp_path):
+    assert _scan(tmp_path, "import repro.util.tables\n") == \
+        {"repro", "repro.util", "repro.util.tables"}
+
+
+def test_from_import_of_a_submodule_reaches_the_submodule(tmp_path):
+    assert "repro.util.tables" in _scan(tmp_path,
+                                        "from repro.util import tables\n")
+
+
+def test_dotted_string_names_its_longest_known_module(tmp_path):
+    assert _scan(tmp_path, 'TARGET = "repro.util.tables.format_table"\n') == \
+        {"repro", "repro.util", "repro.util.tables"}
+    assert _scan(tmp_path, 'TEXT = "not repro.util"\n') == set()
+
+
+def test_lazy_export_table_of_the_package_is_followed():
+    reached = _targets(SRC / "repro" / "__init__.py",
+                       KNOWN | {"repro.api", "repro.runner"})
+    assert {"repro.api", "repro.runner", "repro.service"} <= reached
