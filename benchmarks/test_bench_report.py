@@ -14,6 +14,7 @@ import pytest
 
 from repro.experiments.common import ExperimentResult
 from repro.report import ResultStore, generate_report
+from repro.report.store import store_identity
 from repro.runner import ExperimentRunner
 
 
@@ -34,7 +35,7 @@ def test_bench_store_put(benchmark, tmp_path):
     counter = iter(range(10 ** 9))
 
     def put():
-        store.put("bench", {"cell": next(counter)}, seed=1, reps=None,
+        store.put(store_identity("bench", {"cell": next(counter)}, 1, None),
                   backend="serial", elapsed_seconds=0.0, result=payload)
 
     benchmark.pedantic(put, iterations=20, rounds=5)
@@ -44,8 +45,9 @@ def test_bench_store_put(benchmark, tmp_path):
 def test_bench_store_get(benchmark, tmp_path):
     """Cache-hit lookup cost (the price of resuming instead of recomputing)."""
     store = ResultStore(str(tmp_path))
-    record = store.put("bench", {}, seed=1, reps=None, backend="serial",
-                       elapsed_seconds=0.0, result=_payload())
+    record = store.put(store_identity("bench", {}, 1, None),
+                       backend="serial", elapsed_seconds=0.0,
+                       result=_payload())
     loaded = benchmark.pedantic(store.get, args=(record.key,),
                                 iterations=20, rounds=5)
     assert loaded is not None

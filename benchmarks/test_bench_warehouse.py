@@ -19,7 +19,7 @@ import time
 
 from repro import bench
 from repro.experiments.common import ExperimentResult
-from repro.report.store import ResultStore
+from repro.report.store import ResultStore, store_identity
 from repro.warehouse import load_store
 
 from test_bench_trajectory import GUARD_TOLERANCE, check_guard  # noqa: F401
@@ -50,7 +50,7 @@ def _build_store(root):
                 result.add_row("slowdown", value=1.0 + index / 97.0)
                 result.add_row("stderr_makespan", value=0.5 / (index + 1))
                 result.add_row("rollbacks", value=float(index % 5))
-                store.put(
+                store.put(store_identity(
                     "evaluate",
                     {"method": "strategy",
                      "spec": {"system": {"kind": "strategy",
@@ -61,8 +61,8 @@ def _build_store(root):
                               "metrics": ["makespan", "slowdown",
                                           "rollbacks"],
                               "counting": "per_process"}},
-                    seed=11, reps=3, backend="serial",
-                    elapsed_seconds=0.01, result=result)
+                    11, 3),
+                    backend="serial", elapsed_seconds=0.01, result=result)
     return store
 
 

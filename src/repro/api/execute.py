@@ -17,7 +17,7 @@ steps, and this module is the only place that takes them:
    :class:`~repro.api.evaluation.Evaluation` (encoded as result rows only
    when the store or the service cache reads them);
 4. **store** — :func:`execute_and_store` writes each cacheable cell under
-   its canonical key.
+   the identity its caller keyed it with (:func:`cached_identity`).
 
 :func:`repro.api.evaluate_record` probes the store, dedups, and calls
 :func:`execute_and_store`; :func:`repro.api.evaluate_in_context` keeps its
@@ -49,11 +49,11 @@ from repro.api.evaluators import get_evaluator, load_engine
 from repro.api.spec import EVALUATE_SCENARIO_NAME, StudySpec
 from repro.bench import phase as _phase
 from repro.experiments.common import ExperimentResult
-from repro.report.store import store_key
+from repro.report.store import StoreIdentity, store_identity
 from repro.runner import ExecutionContext
 from repro.runner.backends import ExecutionBackend
 
-__all__ = ["BatchCell", "ExecutedCell", "cell_identity", "cell_key",
+__all__ = ["BatchCell", "ExecutedCell", "cached_identity", "cell_identity",
            "execute_and_store", "execute_cells", "map_cells"]
 
 Outcome = Union["ExecutedCell", Exception]
@@ -86,28 +86,24 @@ class ExecutedCell:
         return self.evaluation.to_experiment_result()
 
 
-def cell_identity(cell: BatchCell
-                  ) -> Tuple[Dict[str, object], Optional[int], Optional[int]]:
-    """``(params, seed, reps)`` of the cell's store key.
+def cell_identity(cell: BatchCell) -> StoreIdentity:
+    """The cell's store identity: canonical params, seed, reps and key.
 
     Deterministic results ignore the budget, so their reps slot is ``None``.
     """
-    reps = cell.spec.effective_reps() \
-        if get_evaluator(cell.method).stochastic else None
-    return cell.spec.cell_params(cell.method), cell.spec.seed, reps
+    stochastic = get_evaluator(cell.method).stochastic
+    return store_identity(EVALUATE_SCENARIO_NAME,
+                          cell.spec.cell_params(cell.method), cell.spec.seed,
+                          cell.spec.effective_reps() if stochastic else None)
 
 
-def _cacheable(seed: Optional[int], reps: Optional[int]) -> bool:
-    """Two fresh-entropy runs are different experiments, so a seedless
-    stochastic cell is never cached and never deduplicated."""
-    return seed is not None or reps is None
-
-
-def cell_key(cell: BatchCell) -> Optional[str]:
-    """The cell's store key, or ``None`` for a seedless stochastic cell."""
-    params, seed, reps = cell_identity(cell)
-    return store_key(EVALUATE_SCENARIO_NAME, params, seed, reps) \
-        if _cacheable(seed, reps) else None
+def cached_identity(cell: BatchCell) -> Optional[StoreIdentity]:
+    """:func:`cell_identity`, or ``None`` for a seedless stochastic cell:
+    two fresh-entropy runs are different experiments, so such a cell is
+    never cached and never deduplicated."""
+    if cell.spec.seed is None and get_evaluator(cell.method).stochastic:
+        return None
+    return cell_identity(cell)
 
 
 def _evaluate_deterministic(cell: BatchCell) -> Tuple[Evaluation, float]:
@@ -220,23 +216,23 @@ def execute_cells(backend: ExecutionBackend, cells: Sequence[BatchCell]
 
 
 def execute_and_store(backend: ExecutionBackend, cells: Sequence[BatchCell],
+                      identities: Sequence[Optional[StoreIdentity]],
                       store=None) -> Tuple[List[Outcome], int]:
-    """:func:`execute_cells`, then write every executed, cacheable cell
-    under its canonical key: one ``put`` per cell.  A write that raises
-    becomes that cell's outcome and leaves the other cells' writes alone.
+    """:func:`execute_cells`, then write every executed cell that has an
+    identity (``identities[i]`` is ``cells[i]``'s) under it: one ``put``
+    per cell.  A write that raises becomes that cell's outcome and leaves
+    the other cells' writes alone.
     """
     outcomes, dispatches = execute_cells(backend, cells)
     if store is None:
         return outcomes, dispatches
     described = backend.describe()
-    for index, (cell, outcome) in enumerate(zip(cells, outcomes)):
-        params, seed, reps = cell_identity(cell)
-        if isinstance(outcome, Exception) or not _cacheable(seed, reps):
+    for index, (identity, outcome) in enumerate(zip(identities, outcomes)):
+        if identity is None or isinstance(outcome, Exception):
             continue
         try:
             with _phase("store"):
-                store.put(EVALUATE_SCENARIO_NAME, params, seed, reps,
-                          backend=described,
+                store.put(identity, backend=described,
                           elapsed_seconds=outcome.elapsed_seconds,
                           result=outcome.result)
         except Exception as exc:

@@ -30,8 +30,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Union
 
 from repro.api.evaluation import Evaluation
 from repro.api.evaluators import get_evaluator, load_engine, resolve_method
-from repro.api.execute import (BatchCell, cell_key, execute_and_store,
-                               map_cells)
+from repro.api.execute import (BatchCell, cached_identity,
+                               execute_and_store, map_cells)
 from repro.api.spec import StudySpec
 from repro.bench import phase as _phase
 from repro.experiments.common import ExperimentResult
@@ -180,8 +180,10 @@ def _evaluate_cells(spec: StudySpec, method: str, backend, store,
                     force: bool) -> List[CellResult]:
     """Probe, dedup, execute and store the cells of *spec*, in cell order."""
 
-    def run(cells: List[BatchCell]) -> List:
-        return _raise_first(execute_and_store(backend, cells, store)[0])
+    def run(indices: List[int]) -> List:
+        return _raise_first(execute_and_store(
+            backend, [cells[i] for i in indices],
+            [identities[i] for i in indices], store)[0])
 
     def result(cell: BatchCell, key, record, cached: bool) -> CellResult:
         """rel_tol is a spec-side annotation excluded from the cell identity,
@@ -199,10 +201,14 @@ def _evaluate_cells(spec: StudySpec, method: str, backend, store,
     cells = [BatchCell(study, resolve_method(study, method))
              for study in spec.cells()]
     results: List[Optional[CellResult]] = []
+    identities = []
     deferred: Dict[str, List[int]] = {}     # deterministic misses by key
     for index, cell in enumerate(cells):
         # A lone cell without a store needs no key (nothing to dedup).
-        key = cell_key(cell) if store is not None or spec.is_sweep else None
+        identity = cached_identity(cell) \
+            if store is not None or spec.is_sweep else None
+        identities.append(identity)
+        key = identity.key if identity is not None else None
         hit = None
         if store is not None and key is not None and not force:
             with _phase("store"):
@@ -210,14 +216,14 @@ def _evaluate_cells(spec: StudySpec, method: str, backend, store,
         if hit is not None:
             results.append(result(cell, key, hit, cached=True))
         elif get_evaluator(cell.method).stochastic:
-            [executed] = run([cell])
+            [executed] = run([index])
             results.append(result(cell, key, executed, cached=False))
         else:
             results.append(None)
             deferred.setdefault(key, []).append(index)
     if deferred:
-        firsts = [cells[indices[0]] for indices in deferred.values()]
-        for (key, indices), executed in zip(deferred.items(), run(firsts)):
+        firsts = run([indices[0] for indices in deferred.values()])
+        for (key, indices), executed in zip(deferred.items(), firsts):
             for index in indices:
                 results[index] = result(cells[index], key, executed,
                                         cached=False)

@@ -24,7 +24,7 @@ from itertools import product
 from typing import (TYPE_CHECKING, Dict, Iterator, Mapping, Optional,
                     Sequence, Tuple)
 
-from repro.report.store import canonical_params, store_key
+from repro.report.store import canonical_params
 
 if TYPE_CHECKING:  # a spec builds its system only where an engine computes
     from repro.core.parameters import SystemParameters
@@ -710,8 +710,8 @@ class StudySpec:
         """
         from repro.api.evaluators import resolve_method
         from repro.api.execute import BatchCell, cell_identity
-        return store_key(EVALUATE_SCENARIO_NAME, *cell_identity(
-            BatchCell(self, resolve_method(self, method))))
+        return cell_identity(BatchCell(self,
+                                       resolve_method(self, method))).key
 
     def __hash__(self) -> int:
         # Mapping fields (options/sweep) defeat the dataclass-generated

@@ -14,7 +14,8 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.util.validation import as_float_array, check_positive, check_symmetric_rates
+from repro.util.validation import (all_close, as_float_array, check_positive,
+                                   check_symmetric_rates)
 
 __all__ = ["SystemParameters"]
 
@@ -168,12 +169,12 @@ class SystemParameters:
 
     def is_symmetric(self, atol: float = 1e-12) -> bool:
         """True when all ``μ_i`` are equal and all off-diagonal ``λ_ij`` are equal."""
-        if not np.allclose(self.mu, self.mu[0], atol=atol):
+        if not all_close(self.mu, self.mu[0], atol=atol):
             return False
         if self.n < 2:
             return True
         off = self.lam[~np.eye(self.n, dtype=bool)]
-        return bool(np.allclose(off, off[0], atol=atol))
+        return all_close(off, off[0], atol=atol)
 
     def scaled(self, factor: float) -> "SystemParameters":
         """Return parameters with every rate multiplied by *factor* (time rescaling)."""

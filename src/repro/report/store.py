@@ -17,7 +17,7 @@ guarantees bit-identical results across serial and process-pool execution
 for all of them.  The backend that actually produced a record is still kept
 in its metadata for provenance.
 
-On-disk layout (all JSON, human-diffable)::
+On-disk layout (each object one line of compact, sorted-key JSON)::
 
     <root>/objects/<key[:2]>/<key>.json   full envelope incl. the result
 
@@ -39,7 +39,7 @@ import hashlib
 import json
 import math
 import os
-import tempfile
+import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Dict, Iterator, List, Optional
@@ -47,8 +47,8 @@ from typing import Dict, Iterator, List, Optional
 from repro import __version__
 from repro.experiments.common import ExperimentResult
 
-__all__ = ["ResultStore", "StoreRecord", "canonical_params",
-           "store_key", "strict_jsonable"]
+__all__ = ["ResultStore", "StoreIdentity", "StoreRecord", "canonical_params",
+           "store_identity", "store_key", "strict_jsonable"]
 
 #: Bumped when the envelope layout changes incompatibly.
 STORE_FORMAT = 1
@@ -128,6 +128,27 @@ def store_key(scenario: str, params: Dict[str, object],
     blob = json.dumps(identity, sort_keys=True, separators=(",", ":"),
                       allow_nan=False)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+@dataclass(frozen=True)
+class StoreIdentity:
+    """One cell's canonical ``(scenario, params, seed, reps)`` and its key."""
+
+    scenario: str
+    params: Dict[str, object]
+    seed: Optional[int]
+    reps: Optional[int]
+    key: str
+
+
+def store_identity(scenario: str, params: Dict[str, object],
+                   seed: Optional[int], reps: Optional[int]) -> StoreIdentity:
+    """Canonicalise a cell once and key it: what :meth:`ResultStore.put`
+    writes under, so a put neither re-canonicalises nor re-hashes."""
+    params = canonical_params(dict(params))
+    seed, reps = canonical_params(seed), canonical_params(reps)
+    return StoreIdentity(scenario, params, seed, reps,
+                         store_key(scenario, params, seed, reps))
 
 
 @dataclass(frozen=True)
@@ -221,7 +242,7 @@ class ResultStore:
     """Content-addressed artifact directory for experiment results.
 
     The three-method surface the runner's persistence hook consumes is
-    :meth:`key` / :meth:`get` / :meth:`put`; everything else is inspection
+    :meth:`identity` / :meth:`get` / :meth:`put`; everything else is inspection
     convenience.  Opening a store writes nothing unless it holds objects
     of an earlier layout (see :meth:`_migrate`), and directories are
     created on first write, so pointing one at a read-only location is
@@ -242,10 +263,8 @@ class ResultStore:
         return os.path.join(self._objects, key[:2], f"{key}.json")
 
     # ------------------------------------------------------------------ hook surface
-    def key(self, scenario: str, params: Dict[str, object],
-            seed: Optional[int], reps: Optional[int]) -> str:
-        """Content address of the cell under the *current* code version."""
-        return store_key(scenario, params, seed, reps)
+    #: The cell's identity and key under the *current* code version.
+    identity = staticmethod(store_identity)
 
     def get(self, key: str) -> Optional[StoreRecord]:
         """Load a stored record by key, or ``None`` when absent."""
@@ -256,25 +275,19 @@ class ResultStore:
             return None
         return StoreRecord.from_envelope(envelope)
 
-    def put(self, scenario: str, params: Dict[str, object],
-            seed: Optional[int], reps: Optional[int], *, backend: str,
+    def put(self, identity: StoreIdentity, *, backend: str,
             elapsed_seconds: float, result: ExperimentResult) -> StoreRecord:
-        """Persist one run as one atomically written object."""
+        """Persist one run under *identity* as one atomically written
+        object."""
         record = StoreRecord(
-            key=self.key(scenario, params, seed, reps),
-            scenario=scenario,
-            params=canonical_params(dict(params)),
-            seed=canonical_params(seed),
-            reps=canonical_params(reps),
+            **vars(identity),
             backend=backend,
             elapsed_seconds=float(elapsed_seconds),
             version=__version__,
             created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
             result=result,
         )
-        path = self.object_path(record.key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        self._write_atomic(path, record.to_envelope())
+        self._write_atomic(self.object_path(record.key), record.to_envelope())
         return record
 
     # ------------------------------------------------------------------ inspection
@@ -340,13 +353,23 @@ class ResultStore:
 
     @staticmethod
     def _write_atomic(path: str, payload: Dict[str, object]) -> None:
+        """One ``write`` of compact JSON to this (process, thread)'s temp
+        file in the bucket, then one rename.  The temp name never ends in
+        ``.json`` and a stale one is overwritten; a missing bucket is made
+        when opening the temp file finds it gone."""
+        data = json.dumps(strict_jsonable(payload), sort_keys=True,
+                          separators=(",", ":"), allow_nan=False) + "\n"
         directory = os.path.dirname(path)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        tmp = os.path.join(directory,
+                           f".{os.getpid()}-{threading.get_ident()}.tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(strict_jsonable(payload), handle, indent=2,
-                          sort_keys=True, allow_nan=False)
-                handle.write("\n")
+            handle = open(tmp, "w", encoding="utf-8")
+        except FileNotFoundError:
+            os.makedirs(directory, exist_ok=True)
+            handle = open(tmp, "w", encoding="utf-8")
+        try:
+            with handle:
+                handle.write(data)
             os.replace(tmp, path)
         except BaseException:
             try:

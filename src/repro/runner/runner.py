@@ -8,8 +8,8 @@ Persistence hook
 ----------------
 :class:`ExperimentRunner` accepts an optional *store* — any object with the
 three-method surface of :class:`~repro.report.store.ResultStore`
-(``key(scenario, params, seed, reps)``, ``get(key)``,
-``put(...)``).  When a
+(``identity(scenario, params, seed, reps)``, ``get(key)`` and
+``put(identity, ...)``).  When a
 store is attached, :meth:`ExperimentRunner.run_record` first looks the
 ``(scenario, canonical params, seed, reps, code version)`` cell up and returns
 the stored result on a hit, so interrupted sweeps resume instead of recompute;
@@ -129,7 +129,9 @@ class ExperimentRunner:
         key: Optional[str] = None
         cacheable = self.store is not None and eff_seed is not None
         if cacheable:
-            key = self.store.key(spec.name, merged, eff_seed, key_reps)
+            identity = self.store.identity(spec.name, merged, eff_seed,
+                                           key_reps)
+            key = identity.key
             if not force:
                 hit = self.store.get(key)
                 if hit is not None:
@@ -143,8 +145,7 @@ class ExperimentRunner:
         result = spec.func(ctx, **merged)
         elapsed = time.perf_counter() - start
         if cacheable:
-            self.store.put(spec.name, merged, eff_seed, key_reps,
-                           backend=self.backend.describe(),
+            self.store.put(identity, backend=self.backend.describe(),
                            elapsed_seconds=elapsed, result=result)
         return RunRecord(spec=spec, result=result, params=merged, seed=eff_seed,
                          reps=key_reps, elapsed_seconds=elapsed, cached=False,

@@ -2,17 +2,20 @@
 
 :class:`EvaluationService` is the event-loop-side orchestrator behind both
 the in-process :class:`ServiceClient` API and the HTTP front end
-(:mod:`repro.service.server`).  A submitted cell travels::
+(:mod:`repro.service.server`).  A submission travels::
 
-    submit ── resolve engine ── canonical key
-         │
-         ├─ LRU probe            (hot cells: a dict lookup)
-         ├─ store probe          (warm cells: one object read, off-loop)
+    submit ── per cell: resolve engine ── identity and key ── LRU probe
+         │                                      (hot cells: a dict lookup)
+         ├─ store probe          (every LRU miss: one off-loop call)
+         │      then, in one loop turn, per store miss:
          ├─ single-flight join   (identical cell already computing)
-         └─ admission batch      (leader: group commit into one fan-out)
-                  │
+         └─ admission batch      (leaders: the submission's misses leave
+                  │               together, one fan-out)
                   └─ flush → execute_and_store in a worker thread
-                           (execute_cells, a put per cell) → resolve futures
+                           (execute_cells, then one put per cell under the
+                            identity keyed at submit) → resolve futures
+
+A single cell (:meth:`EvaluationService.submit_cell`) takes the same path.
 
 Every layer is keyed by :meth:`StudySpec.canonical_key` — the same content
 address the store uses — so the service's caches, the in-flight registry
@@ -35,13 +38,13 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, replace as _dc_replace
-from typing import Dict, List, Mapping, Optional, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.api.evaluation import Evaluation
 from repro.api.evaluators import resolve_method
-from repro.api.execute import cell_key, execute_and_store
+from repro.api.execute import cached_identity, execute_and_store
 from repro.api.spec import StudySpec
-from repro.report.store import ResultStore
+from repro.report.store import ResultStore, StoreIdentity
 from repro.runner.backends import ExecutionBackend, make_backend
 from repro.service.batching import AdmissionBatcher, BatchCell
 from repro.service.cache import CachedResult, ResultLRU
@@ -95,7 +98,7 @@ class _Pending:
     """One admitted cell awaiting the next batch flush."""
 
     cell: BatchCell
-    key: Optional[str]
+    identity: Optional[StoreIdentity]
     future: "asyncio.Future"
 
 
@@ -139,13 +142,13 @@ class EvaluationService:
     async def submit(self, spec: Union[StudySpec, Mapping[str, object]],
                      method: str = "auto", *,
                      force: bool = False) -> StudyOutcome:
-        """Evaluate *spec* (sweeps expand to cells, submitted concurrently).
+        """Evaluate *spec*: a sweep expands to cells, submitted together.
 
         A spec of more than :data:`MAX_SUBMIT_CELLS` cells raises
         :class:`ValueError` (HTTP 400) before any cell is submitted.
 
-        Concurrent cell submission is what lets one tenant's sweep coalesce
-        into a single backend fan-out — and lets many tenants' overlapping
+        Submitting the cells together is what lets one tenant's sweep leave
+        as a single backend fan-out — and lets many tenants' overlapping
         sweeps share flights instead of recomputing each other's cells.
         """
         if not isinstance(spec, StudySpec):
@@ -156,60 +159,77 @@ class EvaluationService:
                              f"submission may hold at most "
                              f"{MAX_SUBMIT_CELLS}")
         self.submissions += 1
-        cells = await asyncio.gather(
-            *(self.submit_cell(cell, method, force=force)
-              for cell in spec.cells()))
-        return StudyOutcome(spec=spec, cells=list(cells))
+        cells = await self._submit_cells(list(spec.cells()), method, force)
+        return StudyOutcome(spec=spec, cells=cells)
 
     async def submit_cell(self, cell: StudySpec, method: str = "auto", *,
                           force: bool = False) -> SubmitOutcome:
-        """Evaluate one cell through the dedup/LRU/store/batch stack."""
-        resolved = resolve_method(cell, method)
-        batch_cell = BatchCell(spec=cell, method=resolved)
-        self.cells_submitted += 1
-        key = cell_key(batch_cell)
-        if key is None:             # seedless stochastic: no cache, no dedup
-            entry = await self._compute(batch_cell, key=None)
-            return self._outcome(cell, resolved, None, "computed", entry)
-        if force:
-            self.lru.invalidate(key)
-        else:
-            hit = self.lru.get(key)
-            if hit is not None:
-                return self._outcome(cell, resolved, key, "lru", hit)
-            if self.store is not None:
-                record = await asyncio.to_thread(self.store.get, key)
+        """Evaluate one cell: the one-cell case of :meth:`submit`."""
+        [outcome] = await self._submit_cells([cell], method, force)
+        return outcome
+
+    async def _submit_cells(self, cells: List[StudySpec], method: str,
+                            force: bool) -> List[SubmitOutcome]:
+        """Serve *cells* from the LRU, one store probe, flights and one
+        batch (the path the module docstring draws)."""
+        batch = [BatchCell(spec=cell, method=resolve_method(cell, method))
+                 for cell in cells]
+        self.cells_submitted += len(batch)
+        identities = [cached_identity(cell) for cell in batch]
+        # Per cell: (source, its CachedResult or the flight to await).
+        served: List[Optional[Tuple[str, object]]] = [None] * len(batch)
+        missed = []
+        for index, identity in enumerate(identities):
+            if identity is None:    # seedless stochastic: no cache, no dedup
+                continue
+            if force:
+                self.lru.invalidate(identity.key)
+            elif (hit := self.lru.get(identity.key)) is not None:
+                served[index] = ("lru", hit)
+            else:
+                missed.append(index)
+        if missed and self.store is not None:
+            records = await asyncio.to_thread(
+                self._probe_store, [identities[i].key for i in missed])
+            for index, record in zip(missed, records):
                 if record is not None:
                     self.store_hits += 1
-                    entry = CachedResult(key=key, result=record.result,
-                                         elapsed_seconds=record.elapsed_seconds)
-                    self.lru.put(entry)
-                    return self._outcome(cell, resolved, key, "store", entry)
-        flight, leader = self.flights.lease(key)
-        if not leader:
-            entry = await asyncio.shield(flight)
-            return self._outcome(cell, resolved, key, "inflight", entry)
-        entry = await self._compute(batch_cell, key=key, flight=flight)
-        return self._outcome(cell, resolved, key, "computed", entry)
+                    hit = CachedResult(key=record.key, result=record.result,
+                                       elapsed_seconds=record.elapsed_seconds)
+                    self.lru.put(hit)
+                    served[index] = ("store", hit)
+        loop = asyncio.get_running_loop()
+        for index, identity in enumerate(identities):
+            if served[index] is None:
+                flight, leader = self.flights.lease(identity.key) \
+                    if identity else (loop.create_future(), True)
+                if leader:
+                    self.batcher.admit(_Pending(batch[index], identity, flight))
+                served[index] = ("computed" if leader else "inflight", flight)
+        landed = iter(await asyncio.gather(
+            *(asyncio.shield(entry) for _source, entry in served
+              if isinstance(entry, asyncio.Future))))
+        return [self._outcome(cell, identity, source,
+                              next(landed) if isinstance(entry, asyncio.Future)
+                              else entry)
+                for cell, identity, (source, entry)
+                in zip(batch, identities, served)]
 
-    def _outcome(self, cell: StudySpec, method: str, key: Optional[str],
+    def _probe_store(self, keys: List[str]) -> list:
+        """Each key's stored record, or ``None`` (run off-loop)."""
+        return [self.store.get(key) for key in keys]
+
+    def _outcome(self, cell: BatchCell, identity: Optional[StoreIdentity],
                  source: str, entry: CachedResult) -> SubmitOutcome:
         # rel_tol is a spec-side annotation excluded from the cell identity;
         # restamp the requesting spec's value, exactly as the facade does.
         evaluation = _dc_replace(Evaluation.from_experiment_result(entry.result),
-                                 rel_tol=cell.rel_tol)
-        return SubmitOutcome(spec=cell, method=method, key=key, source=source,
+                                 rel_tol=cell.spec.rel_tol)
+        return SubmitOutcome(spec=cell.spec, method=cell.method,
+                             key=identity.key if identity else None,
+                             source=source,
                              elapsed_seconds=entry.elapsed_seconds,
                              evaluation=evaluation)
-
-    async def _compute(self, cell: BatchCell, key: Optional[str],
-                       flight: Optional["asyncio.Future"] = None
-                       ) -> CachedResult:
-        """Admit *cell* for the next batch flush and await its result."""
-        if flight is None:
-            flight = asyncio.get_running_loop().create_future()
-        self.batcher.admit(_Pending(cell=cell, key=key, future=flight))
-        return await asyncio.shield(flight)
 
     # ------------------------------------------------------------- execution
     async def _flush(self, batch: List[_Pending]) -> None:
@@ -217,7 +237,7 @@ class EvaluationService:
         try:
             outcomes, dispatches = await asyncio.to_thread(
                 execute_and_store, self.backend, [p.cell for p in batch],
-                self.store)
+                [p.identity for p in batch], self.store)
         except Exception as exc:                      # defensive: whole batch
             outcomes, dispatches = [exc] * len(batch), 0
         self.dispatches += dispatches
@@ -228,9 +248,10 @@ class EvaluationService:
                     pending.future.set_exception(outcome)
                 continue
             self.cells_executed += 1
-            entry = CachedResult(key=pending.key, result=outcome.result,
+            key = pending.identity.key if pending.identity else None
+            entry = CachedResult(key=key, result=outcome.result,
                                  elapsed_seconds=outcome.elapsed_seconds)
-            if pending.key is not None:
+            if key is not None:
                 self.lru.put(entry)
             if not pending.future.done():
                 pending.future.set_result(entry)

@@ -19,6 +19,7 @@ __all__ = [
     "check_rate_matrix",
     "check_symmetric_rates",
     "as_float_array",
+    "all_close",
 ]
 
 
@@ -83,11 +84,18 @@ def check_rate_matrix(matrix: np.ndarray, name: str = "rate matrix") -> np.ndarr
     return matrix
 
 
+def all_close(a, b, atol: float) -> bool:
+    """``np.allclose(a, b, atol=atol)``, answered by an exact comparison
+    first: exactly equal values are always close, and the comparison costs
+    a fraction of ``allclose`` on the small arrays the model passes."""
+    return bool((a == b).all()) or bool(np.allclose(a, b, atol=atol))
+
+
 def check_symmetric_rates(matrix: np.ndarray, name: str = "rate matrix",
                           atol: float = 1e-12) -> np.ndarray:
     """Validate a symmetric interaction-rate matrix (``λ_ij = λ_ji``)."""
     matrix = check_rate_matrix(matrix, name=name)
-    if not np.allclose(matrix, matrix.T, atol=atol):
+    if not all_close(matrix, matrix.T, atol=atol):
         raise ValueError(f"{name} must be symmetric (λ_ij = λ_ji)")
     return matrix
 

@@ -94,12 +94,12 @@ class TestCanonicalKey:
         """The spec's own key is the store's cell key (cache hits survive)."""
         spec = symmetric_spec()
         store = ResultStore(str(tmp_path / "store"))
-        assert spec.canonical_key("mc") == store.key(
+        assert spec.canonical_key("mc") == store.identity(
             EVALUATE_SCENARIO_NAME, spec.cell_params("mc"), spec.seed,
-            spec.effective_reps())
-        assert spec.canonical_key("analytic") == store.key(
+            spec.effective_reps()).key
+        assert spec.canonical_key("analytic") == store.identity(
             EVALUATE_SCENARIO_NAME, spec.cell_params("analytic"), spec.seed,
-            None)
+            None).key
         # ... and direct store_key agreement, version included.
         assert spec.canonical_key("mc") == store_key(
             EVALUATE_SCENARIO_NAME, spec.cell_params("mc"), 11, 2000)

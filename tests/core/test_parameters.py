@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.parameters import SystemParameters
+from repro.markov.recovery_line_interval import RecoveryLineIntervalModel
 
 
 class TestConstruction:
@@ -68,6 +69,27 @@ class TestDerivedQuantities:
     def test_is_symmetric(self, params_case1, params_case2):
         assert params_case1.is_symmetric()
         assert not params_case2.is_symmetric()
+
+    def test_near_symmetric_rates_are_accepted_and_lumped(self):
+        # Within allclose's tolerance but not exactly equal: the exact
+        # comparison fails, so the allclose fallback must still decide, as
+        # it did when it was the only test.
+        mu = np.array([1.0, 1.0 + 1e-9, 1.0 - 1e-9, 1.0])
+        lam = np.full((4, 4), 0.5)
+        np.fill_diagonal(lam, 0.0)
+        lam[0, 1] += 1e-9                    # lam[1, 0] stays 0.5
+        lam[2, 3] -= 1e-9
+        lam[3, 2] -= 1e-9
+        p = SystemParameters(mu=mu, lam=lam)
+        off = p.lam[~np.eye(4, dtype=bool)]
+        assert not (p.mu == p.mu[0]).all() and not (off == off[0]).all()
+        assert np.allclose(p.mu, p.mu[0], atol=1e-12)
+        assert np.allclose(off, off[0], atol=1e-12)
+        assert p.is_symmetric()
+        model = RecoveryLineIntervalModel(p)
+        assert model.analytic_backend == "lumped"
+        assert not SystemParameters(mu=mu * np.array([1, 1, 1, 1.1]),
+                                    lam=lam).is_symmetric()
 
     def test_scaled_preserves_rho(self, params_case2):
         scaled = params_case2.scaled(3.0)

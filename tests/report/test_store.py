@@ -2,6 +2,9 @@
 
 import json
 import os
+import shutil
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ import pytest
 from repro import __version__
 from repro.experiments.common import ExperimentResult
 from repro.report.store import (ResultStore, StoreRecord, canonical_params,
-                                store_key)
+                                store_identity, store_key)
 
 
 def _result(name="unit_result"):
@@ -92,19 +95,21 @@ class TestNonFiniteParams:
     def test_put_refuses_non_finite_params(self, tmp_path):
         store = ResultStore(str(tmp_path))
         with pytest.raises(TypeError, match="not a finite number"):
-            store.put("unit", {"lam": float("nan")}, seed=1, reps=None,
+            store.put(store_identity("unit", {"lam": float("nan")}, 1, None),
                       backend="serial", elapsed_seconds=0.0, result=_result())
 
     def test_every_stored_envelope_rekeys_to_its_filename(self, tmp_path):
         # The self-addressing invariant the bug broke: hashing a stored
         # envelope's own params must reproduce the key it is filed under.
         store = ResultStore(str(tmp_path))
-        store.put("unit", {"rho": (0.5, 1.0), "n": 4, "flag": True},
-                  seed=7, reps=500, backend="serial", elapsed_seconds=0.1,
-                  result=_result())
-        store.put("unit", {"nested": {"lam": 0.25, "tags": ["a", "b"]}},
-                  seed=None, reps=None, backend="serial", elapsed_seconds=0.0,
-                  result=_result())
+        store.put(store_identity("unit",
+                                 {"rho": (0.5, 1.0), "n": 4, "flag": True},
+                                 7, 500),
+                  backend="serial", elapsed_seconds=0.1, result=_result())
+        store.put(store_identity("unit",
+                                 {"nested": {"lam": 0.25, "tags": ["a", "b"]}},
+                                 None, None),
+                  backend="serial", elapsed_seconds=0.0, result=_result())
         envelopes = list(store.envelopes())
         assert len(envelopes) == 2
         for envelope in envelopes:
@@ -120,7 +125,7 @@ class TestRoundTrip:
         store = ResultStore(str(tmp_path / "store"))
         params = {"rho": (0.5, 1.0), "n": 4, "flag": True, "label": "x"}
         result = _result()
-        written = store.put("unit", params, seed=7, reps=500,
+        written = store.put(store_identity("unit", params, 7, 500),
                             backend="serial", elapsed_seconds=0.125,
                             result=result)
         loaded = store.get(written.key)
@@ -135,7 +140,7 @@ class TestRoundTrip:
     def test_scalar_bits_survive_json(self, tmp_path):
         # float64 payloads must reload to the exact same bit pattern.
         store = ResultStore(str(tmp_path))
-        written = store.put("unit", {}, seed=None, reps=None,
+        written = store.put(store_identity("unit", {}, None, None),
                             backend="serial", elapsed_seconds=0.0,
                             result=_result())
         loaded = store.get(written.key)
@@ -146,14 +151,15 @@ class TestRoundTrip:
 
     def test_get_hit_and_miss(self, tmp_path):
         store = ResultStore(str(tmp_path))
-        record = store.put("unit", {}, seed=1, reps=None, backend="serial",
-                           elapsed_seconds=0.0, result=_result())
+        record = store.put(store_identity("unit", {}, 1, None),
+                           backend="serial", elapsed_seconds=0.0,
+                           result=_result())
         assert store.get(record.key) is not None
         assert store.get("0" * 64) is None
 
     def test_atomic_object_files_only(self, tmp_path):
         store = ResultStore(str(tmp_path))
-        store.put("unit", {}, seed=1, reps=None, backend="serial",
+        store.put(store_identity("unit", {}, 1, None), backend="serial",
                   elapsed_seconds=0.0, result=_result())
         leftovers = [name for _, _, files in os.walk(tmp_path)
                      for name in files if name.endswith(".tmp")]
@@ -167,8 +173,9 @@ class TestRoundTrip:
                                   columns=["v"])
         result.add_row("r", v=float("inf"))
         store = ResultStore(str(tmp_path))
-        record = store.put("nf", {}, seed=1, reps=None, backend="serial",
-                           elapsed_seconds=0.0, result=result)
+        record = store.put(store_identity("nf", {}, 1, None),
+                           backend="serial", elapsed_seconds=0.0,
+                           result=result)
         with open(store.object_path(record.key), encoding="utf-8") as f:
             raw = f.read()
         assert "Infinity" not in raw
@@ -177,8 +184,71 @@ class TestRoundTrip:
 
     def test_envelope_roundtrip_through_dataclass(self, tmp_path):
         store = ResultStore(str(tmp_path))
-        record = store.put("unit", {"q": 0.25}, seed=11, reps=1,
+        record = store.put(store_identity("unit", {"q": 0.25}, 11, 1),
                            backend="process(workers=2)", elapsed_seconds=1.5,
                            result=_result())
         clone = StoreRecord.from_envelope(record.to_envelope())
         assert clone == record
+
+
+class TestWritePath:
+    """A put is one write of compact JSON to a per-(process, thread) temp
+    file in the bucket, then one rename."""
+
+    @staticmethod
+    def _put(store, params=None):
+        return store.put(store_identity("unit", params or {"p": 1}, 1, None),
+                         backend="serial", elapsed_seconds=0.5,
+                         result=_result())
+
+    def test_object_is_one_line_of_compact_sorted_strict_json(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        record = self._put(store)
+        with open(store.object_path(record.key), encoding="utf-8") as f:
+            raw = f.read()
+        assert raw.count("\n") == 1 and raw.endswith("\n")
+        envelope = json.loads(raw)
+        assert raw == json.dumps(envelope, sort_keys=True,
+                                 separators=(",", ":"),
+                                 allow_nan=False) + "\n"
+        assert store.get(record.key) == record
+
+    def test_racing_threads_leave_one_object_and_no_temp_files(self,
+                                                               tmp_path):
+        store = ResultStore(str(tmp_path))
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            keys = set(pool.map(lambda _i: self._put(store).key, range(8)))
+        [key] = keys
+        files = [name for _, _, names in os.walk(tmp_path) for name in names]
+        assert files == [f"{key}.json"]
+        assert store.get(key).result == _result()
+
+    def test_put_recreates_a_removed_bucket(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        record = self._put(store)
+        shutil.rmtree(os.path.dirname(store.object_path(record.key)))
+        assert store.get(record.key) is None
+        assert self._put(store) == store.get(record.key)
+
+    def test_stale_temp_file_does_not_fail_the_put(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        key = store_identity("unit", {"p": 1}, 1, None).key
+        bucket = os.path.dirname(store.object_path(key))
+        os.makedirs(bucket)
+        stale = os.path.join(
+            bucket, f".{os.getpid()}-{threading.get_ident()}.tmp")
+        with open(stale, "w", encoding="utf-8") as handle:
+            handle.write('{"truncated": ')
+        record = self._put(store)
+        assert sorted(os.listdir(bucket)) == [f"{key}.json"]
+        assert store.get(key) == record
+
+    def test_indented_objects_of_earlier_versions_still_load(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        record = self._put(store)
+        with open(store.object_path(record.key), "w",
+                  encoding="utf-8") as handle:
+            json.dump(record.to_envelope(), handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        assert store.get(record.key) == record
+        assert list(store.envelopes()) == [record.to_envelope()]

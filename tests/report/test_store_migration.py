@@ -15,8 +15,8 @@ import pytest
 
 from repro import __version__
 from repro.experiments.common import ExperimentResult
-from repro.report.store import (ResultStore, StoreRecord, store_key,
-                                strict_jsonable)
+from repro.report.store import (ResultStore, StoreRecord, store_identity,
+                                store_key, strict_jsonable)
 from repro.warehouse import load_store
 
 SHARDS = 4
@@ -224,7 +224,8 @@ def test_a_shard_tree_without_objects_is_removed(tmp_path):
 
 def test_new_objects_go_to_their_key_prefix(tmp_path):
     store = ResultStore(str(tmp_path))
-    record = store.put("unit", {"p": 1}, seed=1, reps=None, backend="serial",
-                       elapsed_seconds=0.0, result=_records()[0].result)
+    record = store.put(store_identity("unit", {"p": 1}, 1, None),
+                       backend="serial", elapsed_seconds=0.0,
+                       result=_records()[0].result)
     assert _tree(str(tmp_path)) == [
         os.path.join("objects", record.key[:2], f"{record.key}.json")]

@@ -6,7 +6,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro.experiments.common import ExperimentResult
-from repro.report.store import ResultStore
+from repro.report.store import ResultStore, store_identity
 
 
 def _result(name="robustness_fixture", value=1.25):
@@ -24,7 +24,8 @@ def _hammer_worker(args):
     """Process-pool entry: put one record into the shared store."""
     root, worker_id = args
     store = ResultStore(root)
-    record = store.put("scenario", {"worker": worker_id}, worker_id, 100,
+    record = store.put(store_identity("scenario", {"worker": worker_id},
+                                      worker_id, 100),
                        backend="serial", elapsed_seconds=0.1,
                        result=_result(value=float(worker_id)))
     return record.key

@@ -23,10 +23,10 @@ def test_submit_rejects_before_any_cell_is_submitted():
         service = EvaluationService()
         submitted = []
 
-        async def spy(cell, method="auto", *, force=False):
-            submitted.append(cell)
+        async def spy(cells, method, force):
+            submitted.extend(cells)
 
-        service.submit_cell = spy
+        service._submit_cells = spy
         with pytest.raises(ValueError, match=f"{COUNT} cells"):
             await service.submit(StudySpec.from_dict(TOO_WIDE))
         return service, submitted

@@ -34,9 +34,9 @@ def test_cli_serves_the_cells_the_service_stored(tmp_path, monkeypatch):
     computed = []
     real = facade.execute_and_store
 
-    def spy(backend, cells, store):
+    def spy(backend, cells, identities, store):
         computed.extend(cells)
-        return real(backend, cells, store)
+        return real(backend, cells, identities, store)
 
     monkeypatch.setattr(facade, "execute_and_store", spy)
     result = evaluate_record(SWEEP, method="mc", store=ResultStore(root))

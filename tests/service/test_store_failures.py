@@ -3,7 +3,6 @@
 import asyncio
 
 from repro.api import StudySpec, SystemSpec
-from repro.report.store import store_key
 from repro.runner.backends import SerialBackend
 from repro.service import EvaluationService, ServiceClient
 
@@ -18,11 +17,10 @@ class OneBadKeyStore:
     def get(self, key, scenario=None):
         return None
 
-    def put(self, scenario, params, seed, reps, **fields):
-        key = store_key(scenario, params, seed, reps)
-        if key == self.bad_key:
+    def put(self, identity, **fields):
+        if identity.key == self.bad_key:
             raise OSError("disk full")
-        self.written.append(key)
+        self.written.append(identity.key)
 
 
 def _cell(n):

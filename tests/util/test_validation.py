@@ -97,6 +97,14 @@ class TestArrayChecks:
         out = check_symmetric_rates(m)
         assert np.allclose(out, m)
 
+    def test_symmetric_accepts_within_tolerance(self):
+        # Not exactly symmetric, but within allclose's tolerance.
+        m = np.array([[0.0, 3.0], [3.0 + 1e-9, 0.0]])
+        assert not (m == m.T).all()
+        assert check_symmetric_rates(m) is not None
+        with pytest.raises(ValueError, match="symmetric"):
+            check_symmetric_rates(np.array([[0.0, 3.0], [3.1, 0.0]]))
+
 
 class TestIndexAndOrder:
     def test_check_index_valid(self):

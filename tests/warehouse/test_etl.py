@@ -7,7 +7,7 @@ import sqlite3
 import pytest
 
 from repro.experiments.common import ExperimentResult
-from repro.report.store import ResultStore
+from repro.report.store import ResultStore, store_identity
 from repro.warehouse import (
     connect,
     float_hex,
@@ -42,7 +42,8 @@ def _fill(store, cells=4):
         result = _result(makespan=18.0 + i / 7.0,
                          slowdown=1.2 + i / 13.0,
                          **{"stderr_makespan": 0.5 / (i + 1)})
-        records.append(store.put("evaluate", params, seed=11 + i, reps=3,
+        records.append(store.put(store_identity("evaluate", params,
+                                                11 + i, 3),
                                  backend="serial", elapsed_seconds=0.25 * i,
                                  result=result))
     return records
@@ -127,7 +128,7 @@ class TestBitExactness:
                                   columns=["value"])
         result.add_row("q_max", value=float("inf"))
         result.add_row("dropped", value=float("nan"))
-        store.put("nf", {"p": 1}, seed=1, reps=None, backend="serial",
+        store.put(store_identity("nf", {"p": 1}, 1, None), backend="serial",
                   elapsed_seconds=0.0, result=result)
         db = str(tmp_path / "wh.sqlite")
         load_store(str(tmp_path / "store"), db)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.experiments.common import ExperimentResult
-from repro.report.store import ResultStore
+from repro.report.store import ResultStore, store_identity
 from repro.warehouse import KPI_VIEWS, connect_readonly, kpi_rows, load_store
 from repro.warehouse.cli import format_rows
 
@@ -24,14 +24,16 @@ def loaded(tmp_path):
                                                     "n_processes": 3}))
         result.add_row("makespan", value=20.0 + i)
         result.add_row("slowdown", value=1.3 + i / 10.0)
-        store.put("evaluate",
-                  {"method": "strategy",
-                   "spec": {"system": {"kind": "strategy", "scheme": scheme,
-                                       "n": 3, "lam": 1.0,
-                                       "checkpoint_cost": 0.02},
-                            "metrics": ["makespan", "slowdown"]}},
-                  seed=11, reps=3, backend="serial",
-                  elapsed_seconds=0.5, result=result)
+        store.put(store_identity(
+                      "evaluate",
+                      {"method": "strategy",
+                       "spec": {"system": {"kind": "strategy",
+                                           "scheme": scheme, "n": 3,
+                                           "lam": 1.0,
+                                           "checkpoint_cost": 0.02},
+                                "metrics": ["makespan", "slowdown"]}},
+                      11, 3),
+                  backend="serial", elapsed_seconds=0.5, result=result)
     db = str(tmp_path / "wh.sqlite")
     load_store(str(tmp_path / "store"), db)
     return str(tmp_path / "store"), db
